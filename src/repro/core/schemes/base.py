@@ -387,17 +387,34 @@ class SecureNVMScheme(ABC):
 
         Writes every dirty metadata line bottom-up, propagating HMACs so
         the final NVM image is consistent with the TCB root.
+
+        The victim is always the first dirty line of the lowest level in
+        cache iteration order.  One scan collects every dirty line of that
+        level, in order; they are written one by one, skipping any line
+        that is no longer that resident, dirty object.  Propagating a
+        line only loads, dirties or re-installs lines of *higher* levels,
+        so no earlier-ordered or lower-level dirty line can appear before
+        the list runs out — only then is the cache scanned again.
         """
+        level_of = self.layout.level_of_addr
+        probe = self.meta.cache.probe
         while True:
-            dirty = sorted(
-                (line for line in self.meta.cache.dirty_lines()),
-                key=lambda l: self.layout.node_of_addr(l.addr).level,
-            )
-            if not dirty:
+            worklist: list[CacheLine] = []
+            lowest = None
+            for line in self.meta.cache.dirty_lines():
+                level = level_of(line.addr)
+                if lowest is None or level < lowest:
+                    lowest = level
+                    worklist = [line]
+                elif level == lowest:
+                    worklist.append(line)
+            if not worklist:
                 return
-            victim = dirty[0]
-            self._lazy_propagate_and_write(victim)
-            self.meta.cache.clean(victim.addr)
+            for victim in worklist:
+                if probe(victim.addr) is not victim or not victim.dirty:
+                    continue
+                self._lazy_propagate_and_write(victim)
+                self.meta.cache.clean(victim.addr)
 
     # ------------------------------------------------------------------
     # crash modeling

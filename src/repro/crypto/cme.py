@@ -51,7 +51,10 @@ def xor_bytes(data: bytes, pad: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(data) != len(pad):
         raise ValueError(f"length mismatch: {len(data)} vs {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    n = len(data)
+    return (
+        int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    ).to_bytes(n, "little")
 
 
 class CounterModeCipher:

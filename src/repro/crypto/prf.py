@@ -16,6 +16,8 @@ import hmac as _hmac
 
 from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
 
+_SHA256_SIZE = 32
+
 
 class SecretKey:
     """An opaque secret key living in the TCB.
@@ -64,15 +66,13 @@ def prf(key: SecretKey, *parts: bytes, out_len: int = CACHE_LINE_SIZE) -> bytes:
     equivalent of AES's block structure preventing seed collisions.
     """
     message = b"".join(len(p).to_bytes(4, "little") + p for p in parts)
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < out_len:
-        mac = _hmac.new(
-            key.material, counter.to_bytes(4, "little") + message, hashlib.sha256
-        )
-        blocks.append(mac.digest())
-        counter += 1
-    return b"".join(blocks)[:out_len]
+    material = key.material
+    n_blocks = -(-out_len // _SHA256_SIZE)
+    out = b"".join(
+        _hmac.digest(material, i.to_bytes(4, "little") + message, "sha256")
+        for i in range(n_blocks)
+    )
+    return out[:out_len]
 
 
 def keyed_hash(key: SecretKey, *parts: bytes) -> bytes:
@@ -81,7 +81,7 @@ def keyed_hash(key: SecretKey, *parts: bytes) -> bytes:
     Models the paper's HMAC-SHA1 truncated to the 128-bit codeword width.
     """
     message = b"".join(len(p).to_bytes(4, "little") + p for p in parts)
-    return _hmac.new(key.material, message, hashlib.sha1).digest()[:HMAC_SIZE]
+    return _hmac.digest(key.material, message, "sha1")[:HMAC_SIZE]
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -13,6 +13,15 @@ HMAC lines are pure functions of their address.  :class:`GenesisImage`
 computes any line of the pristine image on demand; plugged into the NVM
 device as its line initializer, it makes the lazy sparse image
 indistinguishable from a fully initialized DIMM.
+
+The image memoizes each data-HMAC line it computes.  One such line packs
+the codes of four data lines (four encryptions and four HMACs), and a
+read of any of the four blocks reads it, so it is computed at most once
+per system.  Data lines are not memoized: under random access most of
+the four data lines behind an HMAC line are never read, and keeping them
+would store four data lines per HMAC line.  The memo holds only pristine
+values; attacks and crashes change the NVM device's own lines, never the
+image.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ class GenesisImage:
         self._engine = HmacEngine(hmac_key)
         self._level_nodes: dict[int, bytes] = {}
         self._level_hmacs: dict[int, bytes] = {}
+        self._hmac_lines: dict[int, bytes] = {}
 
     # -- per-region values --------------------------------------------------------
 
@@ -58,6 +68,9 @@ class GenesisImage:
 
     def hmac_line(self, line_addr: int) -> bytes:
         """Pristine 64 B line of the data-HMAC region (4 packed codes)."""
+        cached = self._hmac_lines.get(line_addr)
+        if cached is not None:
+            return cached
         first_block = (line_addr - self.layout.hmac_base) // HMAC_SIZE
         parts = []
         for i in range(CACHE_LINE_SIZE // HMAC_SIZE):
@@ -66,7 +79,8 @@ class GenesisImage:
                 parts.append(self.data_hmac(data_addr))
             else:
                 parts.append(bytes(HMAC_SIZE))
-        return b"".join(parts)
+        cached = self._hmac_lines[line_addr] = b"".join(parts)
+        return cached
 
     def node(self, level: int) -> bytes:
         """The uniform pristine tree-node value at *level*.

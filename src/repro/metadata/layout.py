@@ -29,6 +29,7 @@ All mappings are pure arithmetic; nothing is materialized, so a full
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.address import block_in_page, line_align, page_index
@@ -77,14 +78,19 @@ class MemoryLayout:
             counts.append((counts[-1] + MERKLE_ARITY - 1) // MERKLE_ARITY)
         self.level_counts: tuple[int, ...] = tuple(counts)
 
-        # NVM offsets for internal levels 1 .. root_level-1 (leaves live in
-        # the counter region; the root lives in the TCB).
-        offsets: dict[int, int] = {}
+        #: Level number of the root node (``num_levels - 1``).
+        self.root_level = len(counts) - 1
+
+        # NVM base address of every NVM-resident level, indexed by level:
+        # the leaves (level 0) are the counter region, internal levels
+        # 1 .. root_level-1 follow in the Merkle region (the root lives in
+        # the TCB).  The bases ascend with the level.
+        bases = [self.counter_base]
         cursor = self.merkle_base
         for level in range(1, self.root_level):
-            offsets[level] = cursor
+            bases.append(cursor)
             cursor += self.level_counts[level] * CACHE_LINE_SIZE
-        self._level_offsets = offsets
+        self._level_bases: tuple[int, ...] = tuple(bases)
         self.total_capacity = cursor
 
     # -- tree geometry -----------------------------------------------------
@@ -93,11 +99,6 @@ class MemoryLayout:
     def num_levels(self) -> int:
         """Total tree levels including the counter leaves and the root."""
         return len(self.level_counts)
-
-    @property
-    def root_level(self) -> int:
-        """Level number of the root node (``num_levels - 1``)."""
-        return len(self.level_counts) - 1
 
     @property
     def root(self) -> MerkleNodeId:
@@ -129,11 +130,11 @@ class MemoryLayout:
         """All ancestors of counter leaf *leaf_index*, bottom-up, root last."""
         if not 0 <= leaf_index < self.num_pages:
             raise ValueError(f"leaf index {leaf_index} out of range")
+        index = leaf_index
         nodes = []
-        node = MerkleNodeId(0, leaf_index)
-        while node.level < self.root_level:
-            node = self.parent_of(node)
-            nodes.append(node)
+        for level in range(1, self.root_level + 1):
+            index //= MERKLE_ARITY
+            nodes.append(MerkleNodeId(level, index))
         return nodes
 
     # -- address mappings ----------------------------------------------------
@@ -190,18 +191,22 @@ class MemoryLayout:
             raise ValueError(f"no such tree level: {node.level}")
         if not 0 <= node.index < self.level_counts[node.level]:
             raise ValueError(f"node index {node.index} out of range at level {node.level}")
-        return self._level_offsets[node.level] + node.index * CACHE_LINE_SIZE
+        return self._level_bases[node.level] + node.index * CACHE_LINE_SIZE
+
+    def level_of_addr(self, addr: int) -> int:
+        """Tree level of the counter/Merkle line at *addr*."""
+        if self.counter_base <= addr < self.hmac_base:
+            return 0
+        if self.merkle_base <= addr < self.total_capacity:
+            return bisect_right(self._level_bases, addr) - 1
+        raise ValueError(f"address {addr:#x} is not a tree-node address")
 
     def node_of_addr(self, addr: int) -> MerkleNodeId:
         """Inverse of :meth:`merkle_node_addr` for counter/Merkle addresses."""
-        if self.counter_base <= addr < self.hmac_base:
-            return MerkleNodeId(0, (addr - self.counter_base) // CACHE_LINE_SIZE)
-        for level in range(1, self.root_level):
-            base = self._level_offsets[level]
-            size = self.level_counts[level] * CACHE_LINE_SIZE
-            if base <= addr < base + size:
-                return MerkleNodeId(level, (addr - base) // CACHE_LINE_SIZE)
-        raise ValueError(f"address {addr:#x} is not a tree-node address")
+        level = self.level_of_addr(addr)
+        return MerkleNodeId(
+            level, (addr - self._level_bases[level]) // CACHE_LINE_SIZE
+        )
 
     def region_of(self, addr: int) -> str:
         """Region name ('data' | 'counter' | 'data_hmac' | 'merkle') of *addr*."""
@@ -224,9 +229,10 @@ class MemoryLayout:
         on its Merkle path (the root is in the TCB).  The data HMAC line is
         excluded — data HMACs bypass the meta cache.
         """
-        leaf = self.counter_leaf_index(data_addr)
-        addrs = [self.counter_line_addr(data_addr)]
-        for node in self.ancestors_of_leaf(leaf):
-            if node.level < self.root_level:
-                addrs.append(self.merkle_node_addr(node))
+        index = self.counter_leaf_index(data_addr)
+        bases = self._level_bases
+        addrs = [bases[0] + index * CACHE_LINE_SIZE]
+        for level in range(1, self.root_level):
+            index //= MERKLE_ARITY
+            addrs.append(bases[level] + index * CACHE_LINE_SIZE)
         return addrs

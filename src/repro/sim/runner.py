@@ -74,6 +74,8 @@ def run_simulation(
     the run.  ``None`` (the default) leaves every instrumentation seam
     on its zero-cost path.
     """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
     config = config or SystemConfig()
     scheme = create_scheme(
         scheme_name, config, data_capacity or DEFAULT_SIM_CAPACITY, seed
@@ -83,8 +85,6 @@ def run_simulation(
     if obs is not None:
         obs.attach(memory, cpu)
 
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
     records = trace.records
     split = int(len(records) * warmup_fraction)
     if split:

@@ -4,6 +4,7 @@ Figure 5(a)'s ordering, pinned at the unit level."""
 import pytest
 
 from repro.core.schemes import create_scheme
+from repro.obs import ObsSession
 from repro.sim.runner import run_simulation
 from repro.workloads import synthetic
 from tests.conftest import SMALL_CAPACITY, payload
@@ -146,3 +147,18 @@ class TestStatisticsSurface:
         trace = synthetic.hotspot(length=10, footprint=1 << 14, seed=1)
         with pytest.raises(ValueError):
             run_simulation("ccnvm", trace, config, SMALL_CAPACITY, warmup_fraction=1.0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_bad_warmup_leaves_obs_session_unattached(self, config, fraction):
+        # Validation runs before anything is built: the caller's session
+        # must not end up wired into a discarded system.
+        trace = synthetic.hotspot(length=10, footprint=1 << 14, seed=1)
+        session = ObsSession(sample_every=100)
+        with pytest.raises(ValueError):
+            run_simulation(
+                "ccnvm", trace, config, SMALL_CAPACITY,
+                warmup_fraction=fraction, obs=session,
+            )
+        assert session.system is None
+        assert session.sampler is None
+        assert len(session.bus.events()) == 0
