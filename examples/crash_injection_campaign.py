@@ -14,19 +14,16 @@ documented contract:
 * w/o CC degrades: with per-block staleness past the update-times limit
   N the counters are unrecoverable, and recovery says which blocks died.
 
-Run:  python examples/crash_injection_campaign.py [--full]
+Run:  python examples/crash_injection_campaign.py
 
-The default is the CI-sized smoke campaign; ``--full`` sweeps all five
-designs with the longer workload (a minute or two).
+The whole campaign takes about a second.
 """
 
-import sys
-
-from repro.faults import CampaignConfig, run_campaign
+from repro.faults.campaign import CampaignConfig, run_campaign
 
 
 def main() -> None:
-    cfg = CampaignConfig() if "--full" in sys.argv[1:] else CampaignConfig.smoke()
+    cfg = CampaignConfig()
     print(f"schemes: {', '.join(cfg.schemes)}; workload: {cfg.steps} "
           f"write-backs over an 8-block hot set\n")
     result = run_campaign(cfg)

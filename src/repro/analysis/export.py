@@ -53,9 +53,8 @@ def fig5_bench_document(comparisons, run_meta: dict | None = None) -> dict:
     Carries the full per-cell results (round-trippable), both normalized
     figure tables, the headline scalars, and whatever orchestration
     metadata (wall time, cache accounting, fingerprint) the caller adds.
-    This is also the result body a ``repro serve`` evaluate job returns,
-    so everything except ``run`` must be a pure function of the matrix —
-    byte-identical whether computed by the CLI, the daemon, or a warm
+    Everything except ``run`` must be a pure function of the matrix —
+    byte-identical whether computed cold, in parallel, or from a warm
     cache replay.
     """
     from repro.analysis.report import headline_numbers, ipc_table, write_traffic_table
@@ -91,9 +90,8 @@ def fig5_bench_from_json(text: str) -> dict:
 
     Rebuilds every per-cell :class:`SimulationResult` (schema check) and
     recomputes the figure tables and headline from them, verifying the
-    document's derived sections match its raw cells — the round trip the
-    serve wire path and CI rely on.  Returns ``workload -> scheme ->
-    SimulationResult``.
+    document's derived sections match its raw cells — the round trip CI
+    relies on.  Returns ``workload -> scheme -> SimulationResult``.
     """
     from repro.analysis.report import headline_numbers, ipc_table, write_traffic_table
     from repro.sim.runner import DesignComparison

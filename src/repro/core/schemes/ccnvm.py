@@ -244,6 +244,7 @@ class CcNVM(SecureNVMScheme):
         (enforced through ``busy_until``).
         """
         addrs = self.queue.commit(trigger)
+        self._join_overlay(addrs)
         if not addrs:
             self.tcb.commit_root()
             return 0
@@ -286,11 +287,6 @@ class CcNVM(SecureNVMScheme):
             flushed += 1
         # end signal: the batch is released (durable even across a crash).
         self.wpq.commit_atomic()
-        # Anything evicted dirty that was somehow not reserved would be
-        # lost; persist it non-atomically as a last resort.
-        for addr, value in list(self.meta.overlay.items()):
-            self.wpq.write(addr, value)
-            del self.meta.overlay[addr]
         cycles += flushed  # one cycle per line transfer into the WPQ
         cycles += self.controller.post_writes(now + cycles, flushed)
         # The atomic batch owns the WPQ (it can fill all 64 entries), so
@@ -317,6 +313,27 @@ class CcNVM(SecureNVMScheme):
         # The batch owns the WPQ end to end: nothing overlaps a drain.
         self.writeback_hard_cycles += cycles
         return cycles
+
+    def _join_overlay(self, addrs: list[int]) -> None:
+        """Add every overlay line the epoch did not reserve, with its path.
+
+        A line parked in the overlay is normally reserved already.  One
+        that is not — its newest value left the cache while a pre-evict
+        drain committed the queue under it — joins the epoch here
+        together with its NVM-resident ancestors, so the drain spreads
+        its HMAC to the root and writes it inside the atomic batch.
+        """
+        layout = self.layout
+        joined = set(addrs)
+        for addr in list(self.meta.overlay):
+            node = layout.node_of_addr(addr)
+            while addr not in joined:
+                joined.add(addr)
+                addrs.append(addr)
+                node = layout.parent_of(node)
+                if node.level == layout.root_level:
+                    break
+                addr = layout.merkle_node_addr(node)
 
     def _spread_recorded(self, addrs: list[int]) -> int:
         """Deferred spreading's drain-time recompute.

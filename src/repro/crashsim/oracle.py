@@ -1,10 +1,16 @@
 """The invariant oracle: recovery must hold its contract on every state.
 
+This module is the one home of the post-crash recovery contract: the
+outcome taxonomy (:func:`classify`) and the invariant checks
+(:func:`check_recovered`, :func:`check_data`, :func:`check_probe`).  Both
+crash drivers judge recovery through them — :class:`RecoveryOracle`
+over enumerated crash states, and the named-site sweep of
+:mod:`repro.faults.campaign`.
+
 For each crash state the oracle rewinds one long-lived scheme instance
 (crash → restore NVM image → restore TCB registers), runs the design's
 own :class:`~repro.core.recovery.RecoveryManager`, classifies the
-outcome with the fault campaign's taxonomy, and checks the scheme-aware
-invariants:
+outcome, and checks the scheme-aware invariants:
 
 * the outcome lies in the design's *allowed* set — cc-NVM variants must
   come back ``RECOVERED`` from every reachable state (the paper's
@@ -52,7 +58,14 @@ ALLOWED_OUTCOMES: dict[str, frozenset[str]] = {
 
 
 def classify(report) -> str:
-    """The campaign's outcome taxonomy (see ``repro.faults.campaign``)."""
+    """The outcome taxonomy of a recovery report over a pure crash.
+
+    ``RECOVERED`` — recovery succeeded; ``DEGRADED`` — unrecoverable
+    blocks were reported (and located); ``FALSE_ALARM`` — a replay was
+    reported, which over a pure crash (no attacker exists) is by
+    definition false; ``FAILED`` — anything else, including any tree
+    tampering finding.
+    """
     if any(f.kind == "tree_tampering" for f in report.findings):
         return "FAILED"
     if report.unrecoverable_blocks:
@@ -60,6 +73,86 @@ def classify(report) -> str:
     if report.potential_replay_detected:
         return "FALSE_ALARM"
     return "RECOVERED" if report.success else "FAILED"
+
+
+# -- the invariant checks ------------------------------------------------------
+#
+# Each appends ``category: detail`` strings to *problems*; the category
+# is what :meth:`Verdict.signature` keys on.
+
+
+def check_recovered(scheme, report, blocks: int, problems: list[str]) -> None:
+    """Roots, tree, restart and retry-bound checks after recovery.
+
+    The retry bound is the update-times limit N times *blocks*, which
+    the caller counts: the blocks its workload can have left stale.
+    """
+    if scheme.tcb.root_old != scheme.tcb.root_new:
+        problems.append("roots: TCB roots disagree after recovery")
+    if not scheme.merkle.verify_consistent(scheme.tcb.root_old):
+        problems.append("tree: rebuilt tree does not match the TCB root")
+    if scheme.tcb.recovery_pending:
+        problems.append("restart: recovery_pending still set after recovery")
+    bound = scheme.config.epoch.update_limit * max(1, blocks)
+    if report.total_retries > bound:
+        problems.append(
+            f"retries: total {report.total_retries} exceeds N x blocks = {bound}"
+        )
+
+
+def check_data(
+    scheme, now: int, expected: dict[int, bytes], report, problems: list[str],
+    inflight: tuple[int, bytes | None, bytes] | None = None,
+) -> None:
+    """Every block in *expected* reads back exactly its expected value.
+
+    *inflight* names the one write-back a crash interrupted, as
+    ``(addr, old value, attempted value)``: that block may read back
+    either value.  ``IntegrityError`` is accepted only for blocks
+    recovery itself reported unrecoverable, and such a block must not
+    read back cleanly.
+    """
+    unrecoverable = set(report.unrecoverable_blocks)
+    for addr in sorted(expected):
+        try:
+            got, _ = scheme.read(now, addr)
+        except IntegrityError:
+            if addr not in unrecoverable:
+                problems.append(
+                    f"data: block {addr:#x} unreadable but not reported "
+                    "unrecoverable"
+                )
+            continue
+        if addr in unrecoverable:
+            problems.append(
+                f"data: unrecoverable block {addr:#x} read back cleanly"
+            )
+            continue
+        if inflight is not None and addr == inflight[0]:
+            allowed = inflight[1:]
+        else:
+            allowed = (expected[addr],)
+        if got not in allowed:
+            problems.append(
+                f"data: block {addr:#x} read back a value the surviving "
+                "write stream never implied"
+            )
+
+
+def check_probe(
+    scheme, seed: int, write_at: int, read_at: int, problems: list[str]
+) -> None:
+    """The machine stays usable: a fresh write-back on an untouched page
+    round-trips."""
+    probe = payload(seed, 1_000_000)
+    try:
+        scheme.writeback(write_at, PROBE_ADDR, probe)
+        got, _ = scheme.read(read_at, PROBE_ADDR)
+    except Exception as exc:  # any crash here is itself the finding
+        problems.append(f"probe: post-recovery write-back raised {exc!r}")
+        return
+    if got != probe:
+        problems.append("probe: post-recovery write-back did not round-trip")
 
 
 @dataclass
@@ -275,9 +368,11 @@ class RecoveryOracle:
                 f"outcome: {outcome} not allowed for {self.scheme_name} "
                 f"(allowed: {sorted(allowed)})"
             )
-        self._structural_checks(report, problems)
-        self._data_checks(state, report, problems)
-        self._probe_check(problems)
+        check_recovered(
+            scheme, report, len(scheme.nvm.touched_lines()), problems
+        )
+        check_data(scheme, self._advance(), state.expected, report, problems)
+        check_probe(scheme, self.seed, self._advance(), self._advance(), problems)
         if problems and outcome in allowed:
             outcome = "FAILED"
         return Verdict(
@@ -289,62 +384,6 @@ class RecoveryOracle:
             unrecoverable=len(report.unrecoverable_blocks),
             notes=tuple(report.notes),
         )
-
-    # -- invariant layers ----------------------------------------------------------
-
-    def _structural_checks(self, report, problems: list[str]) -> None:
-        scheme = self.scheme
-        if scheme.tcb.root_old != scheme.tcb.root_new:
-            problems.append("roots: TCB roots disagree after recovery")
-        if not scheme.merkle.verify_consistent(scheme.tcb.root_old):
-            problems.append("tree: rebuilt tree does not match the TCB root")
-        if scheme.tcb.recovery_pending:
-            problems.append("restart: recovery_pending still set after recovery")
-        limit = scheme.config.epoch.update_limit
-        blocks = max(1, len(scheme.nvm.touched_lines()))
-        if report.total_retries > limit * blocks:
-            problems.append(
-                f"retries: total {report.total_retries} exceeds "
-                f"N x lines = {limit * blocks}"
-            )
-
-    def _data_checks(self, state: CrashState, report, problems: list[str]) -> None:
-        scheme = self.scheme
-        unrecoverable = set(report.unrecoverable_blocks)
-        now = self._advance()
-        for addr in sorted(state.expected):
-            want = state.expected[addr]
-            try:
-                got, _ = scheme.read(now, addr)
-            except IntegrityError:
-                if addr not in unrecoverable:
-                    problems.append(
-                        f"data: block {addr:#x} unreadable but not reported "
-                        "unrecoverable"
-                    )
-                continue
-            if addr in unrecoverable:
-                problems.append(
-                    f"data: unrecoverable block {addr:#x} read back cleanly"
-                )
-            elif got != want:
-                problems.append(
-                    f"data: block {addr:#x} read back a value the surviving "
-                    "write stream never implied"
-                )
-
-    def _probe_check(self, problems: list[str]) -> None:
-        scheme = self.scheme
-        now = self._advance()
-        probe = payload(self.seed, 1_000_000)
-        try:
-            scheme.writeback(now, PROBE_ADDR, probe)
-            got, _ = scheme.read(self._advance(), PROBE_ADDR)
-        except Exception as exc:  # any crash here is itself the finding
-            problems.append(f"probe: post-recovery write-back raised {exc!r}")
-            return
-        if got != probe:
-            problems.append("probe: post-recovery write-back did not round-trip")
 
     def _advance(self) -> int:
         self._now += 1_000_000

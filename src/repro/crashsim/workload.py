@@ -1,9 +1,9 @@
 """The recording workloads: deterministic annotated write streams.
 
-The default ``hotset`` profile mirrors the fault campaign's hot-set
-shape (8 blocks on 2 pages, enough round-robin pressure to cross the
-update-times limit N and trigger every drain path).  The Figure-5
-profiles replay the write-back stream of one SPEC CPU2006 surrogate
+The default ``hotset`` profile (8 blocks on 2 pages, enough round-robin
+pressure to cross the update-times limit N and trigger every drain
+path) is also the stream the fault campaign's site sweep crashes.  The
+Figure-5 profiles replay the write-back stream of one SPEC CPU2006 surrogate
 (:mod:`repro.workloads.spec`), folded onto a small page range so the
 crash campaign exercises each benchmark's metadata-locality shape —
 streaming wraps, strides, hot-set skew — rather than the hot-set's.
@@ -44,6 +44,19 @@ def hot_addrs() -> list[int]:
     return [
         page + block * 64 for page in PAGES for block in range(BLOCKS_PER_PAGE)
     ]
+
+
+def hotset_writes(steps: int, seed: int):
+    """The hot-set profile as ``(warm-up, stream)`` lists of (addr, data).
+
+    The warm-up writes every hot block once; the stream then walks the
+    blocks round-robin for *steps* write-backs — 160 steps put ~20
+    updates on each block, past the update-times limit N=16.
+    """
+    addrs = hot_addrs()
+    warmup = [(addr, payload(seed, -1 - i)) for i, addr in enumerate(addrs)]
+    stream = [(addrs[i % len(addrs)], payload(seed, i)) for i in range(steps)]
+    return warmup, stream
 
 
 def workload_profiles() -> list[str]:
@@ -110,17 +123,12 @@ def record_workload(scheme, steps: int, seed: int, profile: str = HOTSET):
                 scheme.flush()
         return recorder.detach()
     if profile == HOTSET:
-        addrs = hot_addrs()
-        for i, addr in enumerate(addrs):
-            data = payload(seed, -1 - i)
-            scheme.writeback(now, addr, data)
-            recorder.annotate(addr, data)
-            now += 500
-        stream = [addrs[i % len(addrs)] for i in range(steps)]
+        warmup, stream = hotset_writes(steps, seed)
+        writes = warmup + stream
     else:
-        stream = spec_write_addrs(profile, steps, seed)
-    for i, addr in enumerate(stream):
-        data = payload(seed, i)
+        addrs = spec_write_addrs(profile, steps, seed)
+        writes = [(addr, payload(seed, i)) for i, addr in enumerate(addrs)]
+    for addr, data in writes:
         scheme.writeback(now, addr, data)
         recorder.annotate(addr, data)
         now += 500

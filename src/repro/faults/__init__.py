@@ -10,22 +10,19 @@ guarantees are supposed to survive:
 * :mod:`repro.faults.media` — NVM media-fault model: ECC-detectable
   transient read faults, permanent (stuck) faults, and silent bit flips
   only the HMAC layer can catch;
-* :mod:`repro.faults.campaign` — the differential recovery oracle: sweep
-  schemes x crash sites x fault models and assert each design's
-  documented post-crash contract.
+* :mod:`repro.faults.campaign` — the differential site sweep: schemes x
+  crash sites x fault models, each judged by the recovery checks of
+  :mod:`repro.crashsim.oracle` against the design's documented
+  post-crash contract.
 
 Layering: core modules never import this package — they expose plain
 ``fault_hook`` attributes the injector attaches to, and the media model
 plugs into :class:`~repro.mem.nvm.NVMDevice` through ``set_media_model``.
+The campaign is not imported here: it builds on :mod:`repro.crashsim`,
+which itself imports the injector, so import it as
+``repro.faults.campaign``.
 """
 
-from repro.faults.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    InjectionResult,
-    MediaResult,
-    run_campaign,
-)
 from repro.faults.injector import FaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import (
@@ -39,16 +36,11 @@ from repro.faults.plan import (
 
 __all__ = [
     "ALL_SITE_NAMES",
-    "CampaignConfig",
-    "CampaignResult",
     "FaultInjector",
     "FaultSite",
-    "InjectionResult",
     "MediaFaultModel",
-    "MediaResult",
     "PowerFailure",
     "RECOVERY_SITES",
     "SITES",
-    "run_campaign",
     "sites_for_scheme",
 ]

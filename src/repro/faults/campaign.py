@@ -1,9 +1,10 @@
-"""The differential recovery oracle: schemes x crash sites x fault models.
+"""The named-site sweep: schemes x crash sites x fault models.
 
-For every (scheme, site) pair the campaign runs a deterministic hot-set
-workload, arms a power failure at a chosen visit of the site, crashes the
-machine there, recovers, and checks the design's *documented* post-crash
-contract — not merely "recovery did not throw":
+For every (scheme, site) pair the campaign runs the deterministic hot-set
+workload of :mod:`repro.crashsim.workload`, arms a power failure at a
+chosen visit of the site, crashes the machine there, recovers, and
+checks the design's *documented* post-crash contract with the checks of
+:mod:`repro.crashsim.oracle` — not merely "recovery did not throw":
 
 * the rebuilt tree is internally consistent and both TCB roots agree;
 * per-campaign retry totals stay within the design's bound (N);
@@ -12,8 +13,9 @@ contract — not merely "recovery did not throw":
   value; nothing else is acceptable;
 * the machine is usable afterwards (a fresh write-back round-trips).
 
-Outcomes are classified and compared against an expected matrix derived
-from each design's guarantees (differential part):
+Outcomes are classified by :func:`repro.crashsim.oracle.classify` and
+compared against an exact per-site expected matrix derived from each
+design's guarantees (differential part):
 
 =================  =========================================================
 ``RECOVERED``      recovery succeeded and every invariant held
@@ -38,11 +40,11 @@ silent bit flip must be caught by the data-HMAC layer.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
-from repro.common.config import SystemConfig
 from repro.core.schemes import create_scheme
+from repro.crashsim.oracle import check_data, check_probe, check_recovered, classify
+from repro.crashsim.workload import hot_addrs, hotset_writes
 from repro.faults.injector import FaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import RECOVERY_SITES, PowerFailure, sites_for_scheme
@@ -69,11 +71,6 @@ class CampaignConfig:
     data_capacity: int = 1 << 16
     #: Also run the NVM media-fault phase.
     media: bool = True
-
-    @staticmethod
-    def smoke() -> "CampaignConfig":
-        """A CI-sized campaign: two schemes, shorter workload, no media cut."""
-        return CampaignConfig(schemes=("sc", "ccnvm"), steps=64)
 
 
 @dataclass
@@ -215,65 +212,29 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# workload
+# the sweep
 # ---------------------------------------------------------------------------
 
 
-def _payload(seed: int, step: int) -> bytes:
-    return hashlib.blake2b(
-        f"faults:{seed}:{step}".encode(), digest_size=64
-    ).digest()
+@dataclass
+class _Progress:
+    """How far the hot-set stream got on one scheme instance."""
 
+    #: addr -> plaintext of the last *completed* write-back.
+    expected: dict[int, bytes] = field(default_factory=dict)
+    #: (addr, old value, attempted value) of the write-back a crash
+    #: interrupted, or None.
+    inflight: tuple[int, bytes | None, bytes] | None = None
+    now: int = 0
 
-class _HotSetWorkload:
-    """Deterministic round-robin over 8 hot blocks on 2 pages.
-
-    160 steps put ~20 updates on every block — past the update-times
-    limit N=16, so designs without a staleness bound (w/o CC) genuinely
-    cannot recover, while bounded designs stay within their retry budget.
-    """
-
-    PAGES = (0x2000, 0x3000)
-    BLOCKS_PER_PAGE = 4
-
-    def __init__(self, steps: int, seed: int) -> None:
-        self.steps = steps
-        self.seed = seed
-        self.addrs = [
-            page + block * 64
-            for page in self.PAGES
-            for block in range(self.BLOCKS_PER_PAGE)
-        ]
-        #: addr -> plaintext of the last *completed* write-back.
-        self.expected: dict[int, bytes] = {}
-        #: (addr, old value, attempted value) of the write-back a crash
-        #: interrupted, or None.
-        self.inflight: tuple[int, bytes | None, bytes] | None = None
-        self.now = 0
-
-    def warmup(self, scheme) -> None:
-        """One unarmed round so every hot block has a committed value."""
-        for i, addr in enumerate(self.addrs):
-            data = _payload(self.seed, -1 - i)
-            scheme.writeback(self.now, addr, data)
-            self.expected[addr] = data
-            self.now += 500
-
-    def main(self, scheme) -> None:
-        """The armed loop; a PowerFailure leaves ``inflight`` set."""
-        for i in range(self.steps):
-            addr = self.addrs[i % len(self.addrs)]
-            data = _payload(self.seed, i)
+    def run(self, scheme, writes) -> None:
+        """Write back *writes* in order; a PowerFailure leaves ``inflight`` set."""
+        for addr, data in writes:
             self.inflight = (addr, self.expected.get(addr), data)
             scheme.writeback(self.now, addr, data)
             self.expected[addr] = data
             self.inflight = None
             self.now += 500
-
-
-# ---------------------------------------------------------------------------
-# the oracle
-# ---------------------------------------------------------------------------
 
 
 def _expected_outcome(scheme_name: str, site: str) -> str:
@@ -297,76 +258,16 @@ def _expected_outcome(scheme_name: str, site: str) -> str:
     raise ValueError(f"no expected outcome for scheme {scheme_name!r}")
 
 
-def _classify(report) -> str:
-    if any(f.kind == "tree_tampering" for f in report.findings):
-        return "FAILED"
-    if report.unrecoverable_blocks:
-        return "DEGRADED"
-    if report.potential_replay_detected:
-        # No attacker exists in this campaign, so a replay report over a
-        # pure crash is by definition a false alarm.
-        return "FALSE_ALARM"
-    return "RECOVERED" if report.success else "FAILED"
-
-
-def _check_invariants(
-    scheme, report, workload: _HotSetWorkload, problems: list[str]
-) -> None:
-    """The oracle's hard checks, shared by every outcome class."""
-    config: SystemConfig = scheme.config
-
-    if scheme.tcb.root_old != scheme.tcb.root_new:
-        problems.append("TCB roots disagree after recovery")
-    if not scheme.merkle.verify_consistent(scheme.tcb.root_old):
-        problems.append("rebuilt tree does not match the TCB root")
-    if scheme.tcb.recovery_pending:
-        problems.append("recovery_pending still set after recovery returned")
-
-    bound = config.epoch.update_limit * max(1, len(workload.expected))
-    if report.total_retries > bound:
-        problems.append(
-            f"retry total {report.total_retries} exceeds N x blocks = {bound}"
-        )
-
-    unrecoverable = set(report.unrecoverable_blocks)
-    t = workload.now + 100_000
-    for addr in sorted(workload.expected):
-        want = workload.expected[addr]
-        allowed = {want}
-        if workload.inflight is not None and addr == workload.inflight[0]:
-            allowed = {v for v in workload.inflight[1:] if v is not None}
-        try:
-            got, _ = scheme.read(t, addr)
-        except IntegrityError:
-            if addr not in unrecoverable:
-                problems.append(
-                    f"block {addr:#x} unreadable but not reported unrecoverable"
-                )
-            continue
-        if addr in unrecoverable:
-            # A block written off by recovery must not silently read back.
-            problems.append(f"unrecoverable block {addr:#x} read back cleanly")
-        elif got not in allowed:
-            problems.append(f"block {addr:#x} read back a value never written")
-
-    # Usability: a fresh write-back on an untouched page round-trips.
-    probe_addr = 0x7000
-    probe = _payload(workload.seed, 1_000_000)
-    scheme.writeback(t, probe_addr, probe)
-    got, _ = scheme.read(t + 10_000, probe_addr)
-    if got != probe:
-        problems.append("post-recovery write-back did not round-trip")
-
-
 def _discover(scheme_name: str, cfg: CampaignConfig) -> dict[str, int]:
     """Record how often the workload (and one recovery) visits each site."""
     scheme = create_scheme(scheme_name, data_capacity=cfg.data_capacity, seed=cfg.seed)
     injector = FaultInjector()
     injector.attach(scheme)
-    workload = _HotSetWorkload(cfg.steps, cfg.seed)
-    workload.warmup(scheme)
+    warmup, stream = hotset_writes(cfg.steps, cfg.seed)
+    progress = _Progress()
+    progress.run(scheme, warmup)
     injector.reset_counts()
-    workload.main(scheme)
+    progress.run(scheme, stream)
     scheme.crash()
     scheme.recover()
     return dict(injector.hits)
@@ -377,15 +278,16 @@ def _inject(scheme_name: str, site: str, hit: int, cfg: CampaignConfig) -> Injec
     scheme = create_scheme(scheme_name, data_capacity=cfg.data_capacity, seed=cfg.seed)
     injector = FaultInjector()
     injector.attach(scheme)
-    workload = _HotSetWorkload(cfg.steps, cfg.seed)
-    workload.warmup(scheme)
+    warmup, stream = hotset_writes(cfg.steps, cfg.seed)
+    progress = _Progress()
+    progress.run(scheme, warmup)
 
     fired = False
     double_crash = site in RECOVERY_SITES
     if double_crash:
         # Crash *recovery*: full workload, power failure, then a second
         # power failure at the armed site inside the first recovery run.
-        workload.main(scheme)
+        progress.run(scheme, stream)
         scheme.crash()
         injector.arm(site, hit)
         try:
@@ -403,7 +305,7 @@ def _inject(scheme_name: str, site: str, hit: int, cfg: CampaignConfig) -> Injec
     else:
         injector.arm(site, hit)
         try:
-            workload.main(scheme)
+            progress.run(scheme, stream)
         except PowerFailure:
             fired = True
         if not fired:
@@ -416,8 +318,13 @@ def _inject(scheme_name: str, site: str, hit: int, cfg: CampaignConfig) -> Injec
         report = scheme.recover()
 
     problems: list[str] = []
-    _check_invariants(scheme, report, workload, problems)
-    outcome = _classify(report)
+    check_recovered(scheme, report, len(progress.expected), problems)
+    t = progress.now + 100_000
+    check_data(
+        scheme, t, progress.expected, report, problems, inflight=progress.inflight
+    )
+    check_probe(scheme, cfg.seed, t, t + 10_000, problems)
+    outcome = classify(report)
     if problems:
         outcome = "FAILED"
     expected = _expected_outcome(scheme_name, site)
@@ -447,20 +354,22 @@ def _inject(scheme_name: str, site: str, hit: int, cfg: CampaignConfig) -> Injec
 
 def _media_phase(scheme_name: str, cfg: CampaignConfig) -> list[MediaResult]:
     scheme = create_scheme(scheme_name, data_capacity=cfg.data_capacity, seed=cfg.seed)
-    workload = _HotSetWorkload(cfg.steps, cfg.seed)
-    workload.warmup(scheme)
+    warmup, _ = hotset_writes(0, cfg.seed)
+    progress = _Progress()
+    progress.run(scheme, warmup)
     model = MediaFaultModel()
     scheme.nvm.set_media_model(model)
     limit = scheme.config.controller.read_retry_limit
-    t = workload.now + 1000
+    t = progress.now + 1000
+    addrs = hot_addrs()
     results: list[MediaResult] = []
 
     # Transient fault: absorbed by the controller's bounded retry.
-    addr = workload.addrs[0]
+    addr = addrs[0]
     model.inject_transient(addr, count=2)
     try:
         got, _ = scheme.read(t, addr)
-        if got != workload.expected[addr]:
+        if got != progress.expected[addr]:
             outcome, detail = "wrong_data", "read returned a value never written"
         elif model.delivered["transient"] != 2:
             outcome, detail = "not_delivered", "fault schedule never consulted"
@@ -474,7 +383,7 @@ def _media_phase(scheme_name: str, cfg: CampaignConfig) -> list[MediaResult]:
     )
 
     # Permanent fault: retry budget exhausts into a located report.
-    addr = workload.addrs[1]
+    addr = addrs[1]
     model.inject_permanent(addr)
     try:
         scheme.read(t + 1000, addr)
@@ -494,7 +403,7 @@ def _media_phase(scheme_name: str, cfg: CampaignConfig) -> list[MediaResult]:
     )
 
     # Silent bit flip: only the data-HMAC layer can catch it.
-    addr = workload.addrs[2]
+    addr = addrs[2]
     model.inject_silent_bitflip(addr, byte_index=5)
     try:
         scheme.read(t + 2000, addr)

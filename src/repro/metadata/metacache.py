@@ -143,8 +143,16 @@ class MetadataStore:
 
     # -- installation with eviction policy ----------------------------------------------
 
-    def install(self, addr: int, value: object, dirty: bool, verified: bool) -> CacheLine:
-        """Insert *value* at *addr*, honouring the scheme's eviction hooks."""
+    def install(
+        self, addr: int, value: object, dirty: bool, verified: bool
+    ) -> CacheLine | None:
+        """Insert *value* at *addr*, honouring the scheme's eviction hooks.
+
+        Returns the installed line, or ``None`` when handling the evicted
+        dirty victim pushed the new line straight back out (the victim's
+        propagation refilled the set); its newest value then sits in the
+        overlay or in NVM, where a fresh :meth:`load_verified` finds it.
+        """
         victim = self.cache.would_evict(addr)
         if victim is not None and victim.dirty and self.pre_evict is not None:
             self.pre_evict(victim)
@@ -156,7 +164,8 @@ class MetadataStore:
                 )
             self.on_dirty_evict(victim)
         line = self.cache.probe(addr)
-        line.verified = line.verified or verified
+        if line is not None:
+            line.verified = line.verified or verified
         return line
 
     # -- raw NVM decode ---------------------------------------------------------------
@@ -187,6 +196,8 @@ class MetadataStore:
             installed = self.install(
                 addr, self._decode(addr, pending), dirty=True, verified=True
             )
+            if installed is None:
+                return self._reload(addr, self._hit_latency)
             return AccessResult(installed.data, self._hit_latency, False)
 
         layout = self.layout
@@ -234,6 +245,8 @@ class MetadataStore:
                     verified=True,
                 )
                 cycles += self._hit_latency
+                if installed is None:
+                    return self._reload(addr, cycles)
                 trusted_slot_source = installed.data
                 break
             node = parent
@@ -277,7 +290,19 @@ class MetadataStore:
                 continue
             self.install(node_addr, self._decode(node_addr, raw), dirty=False, verified=True)
 
-        return AccessResult(self.cache.probe(addr).data, cycles, False)
+        line = self.cache.probe(addr)
+        if line is None:
+            return self._reload(addr, cycles)
+        return AccessResult(line.data, cycles, False)
+
+    def _reload(self, addr: int, cycles: int) -> AccessResult:
+        """Load *addr* again after an install lost it to eviction handling.
+
+        The cache, overlay and NVM changed under the first attempt, so
+        it starts over; *cycles* already spent are charged on top.
+        """
+        result = self.load_verified(addr)
+        return AccessResult(result.value, cycles + result.cycles, False)
 
     def load_counter(self, data_addr: int) -> AccessResult:
         """Verified load of the counter line covering *data_addr*'s page."""

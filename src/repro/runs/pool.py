@@ -37,12 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
 
-from repro.chaos.inject import chaos_fire
 from repro.runs.spec import RunSpec
 
 #: Grace seconds added on top of a chunk's nominal deadline.
@@ -161,35 +159,14 @@ def execute_spec(spec_dict: dict):
     return _EXECUTORS[spec.kind](spec)
 
 
-def _corrupt_payload(payload, params: dict):
-    """Deterministically damage a payload (chaos ``pool.result_corrupt``)."""
-    if params.get("mode") == "garbage" or not isinstance(payload, dict):
-        return {"__chaos__": "corrupted payload"}
-    keys = sorted(payload)
-    return {k: payload[k] for k in keys[: len(keys) // 2]}
-
-
 def _run_chunk(spec_dicts: list[dict]) -> list[dict]:
     """Worker task: run a chunk of specs, isolating per-spec failures."""
-    # Process-death sites only make sense in an actual worker process;
-    # inline (jobs<=1) execution runs this in the parent, which must
-    # never be exited or stalled by its own chaos plan.
-    in_worker = multiprocessing.parent_process() is not None
     out = []
     for spec_dict in spec_dicts:
-        action = chaos_fire("pool.worker_crash")
-        if action is not None and in_worker:
-            os._exit(int(action.get("exit_code", 70)))
-        action = chaos_fire("pool.worker_hang")
-        if action is not None and in_worker:
-            time.sleep(float(action.get("hang_seconds", 3600.0)))
         started = time.perf_counter()
         try:
             payload = execute_spec(spec_dict)
             digest = payload_digest(payload)
-            action = chaos_fire("pool.result_corrupt")
-            if action is not None:
-                payload = _corrupt_payload(payload, action)
             out.append(
                 {
                     "status": "done",
@@ -389,9 +366,7 @@ class WorkerPool:
                 pool.close()
             pool.join()
         if suspects:
-            # Isolate the offender: one fresh process per surviving spec
-            # (maxtasksperchild=1 also resets any per-process chaos
-            # counters, so a scheduled crash does not re-fire here).
+            # Isolate the offender: one fresh process per surviving spec.
             self.redispatched += len(suspects)
             retry_pool = WorkerPool(
                 jobs=min(self.jobs, len(suspects)),

@@ -51,7 +51,7 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "PASS" in result.stdout
         assert "every outcome matched its design's contract" in result.stdout
-        # The smoke sweep must exercise the replay-vs-crash window (SC
+        # The sweep must exercise the replay-vs-crash window (SC
         # false alarm) and cc-NVM's full recovery, plus the media phase.
         assert "FALSE_ALARM" in result.stdout
         assert "detected_by_hmac" in result.stdout

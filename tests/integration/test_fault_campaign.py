@@ -1,24 +1,33 @@
-"""Integration tests for the differential recovery oracle.
+"""Integration tests for the fault campaign's named-site sweep.
 
-One smoke campaign run (shared across the class via a module fixture)
-must satisfy the subsystem's acceptance bar: enough distinct crash sites
-fire, cc-NVM comes back clean from every reachable micro-step including
-crashes injected into recovery itself, the known SC replay-vs-crash
-window is exhibited, and the media phase behaves per contract.
+One run of the standing five-scheme campaign (shared across the module
+via a fixture; about a second) must satisfy the subsystem's acceptance
+bar: enough distinct crash sites fire, cc-NVM comes back clean from
+every reachable micro-step including crashes injected into recovery
+itself, the known SC replay-vs-crash window is exhibited, and the media
+phase behaves per contract.  Its exported document is pinned byte for
+byte by a golden digest.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.analysis.export import campaign_to_csv, campaign_to_json
-from repro.faults import CampaignConfig, run_campaign
+from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.faults.plan import RECOVERY_SITES
+
+#: sha256 of ``campaign_to_json(run_campaign(CampaignConfig()))``.  It
+#: pins every outcome, retry count, ``nwb`` and note of the standing
+#: campaign; the sweep's recovery checks moved into
+#: ``repro.crashsim.oracle`` without changing this digest.
+GOLDEN_SHA256 = "9b7b3e06f3081d571940ef8698415e45c8fd7a2e91e6abbbcdf3c26e9a45b32a"
 
 
 @pytest.fixture(scope="module")
 def smoke():
-    return run_campaign(CampaignConfig.smoke())
+    return run_campaign(CampaignConfig())
 
 
 class TestSmokeCampaign:
@@ -64,6 +73,12 @@ class TestSmokeCampaign:
         for r in doubles:
             assert any("double crash" in n for n in r.notes)
             assert any("resumed" in n for n in r.notes)
+
+
+class TestGolden:
+    def test_campaign_document_digest(self, smoke):
+        document = campaign_to_json(smoke)
+        assert hashlib.sha256(document.encode()).hexdigest() == GOLDEN_SHA256
 
 
 class TestExport:

@@ -8,12 +8,19 @@ cache + TCB view is *always* internally consistent no matter when lines
 leave the cache."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.schemes import create_scheme
+from repro.metadata.merkle import MerkleTree
 from repro.metadata.metacache import IntegrityError
+from repro.sim.cpu import TraceCPU
+from repro.sim.system import MemoryHierarchy
+from repro.workloads.spec import KB, SPEC_PROFILES
 from tests.conftest import SMALL_CAPACITY, payload, small_config
+
+FIG5_DESIGNS = ["no_cc", "osiris_plus", "sc", "ccnvm", "ccnvm_no_ds"]
 
 
 def stressed(scheme_name, meta_kb=1, seed=0, writebacks=150, pages=48):
@@ -31,7 +38,7 @@ def stressed(scheme_name, meta_kb=1, seed=0, writebacks=150, pages=48):
     return scheme, written, t
 
 
-@pytest.mark.parametrize("name", ["no_cc", "osiris_plus", "sc", "ccnvm", "ccnvm_no_ds"])
+@pytest.mark.parametrize("name", FIG5_DESIGNS)
 class TestUnderPressure:
     def test_evictions_happened(self, name):
         scheme, _, _ = stressed(name)
@@ -48,8 +55,6 @@ class TestUnderPressure:
             t += 500
 
     def test_flush_leaves_consistent_image(self, name):
-        from repro.metadata.merkle import MerkleTree
-
         scheme, _, _ = stressed(name)
         scheme.flush()
         tree = MerkleTree(scheme.nvm, scheme.hmac, scheme.genesis)
@@ -100,3 +105,32 @@ class TestLazyPropagationSpecifics:
     def test_ccnvm_overlay_empty_between_writebacks(self):
         scheme, _, _ = stressed("ccnvm")
         assert scheme.meta.overlay == {}
+
+
+@pytest.mark.parametrize("name", FIG5_DESIGNS)
+@pytest.mark.parametrize(
+    "meta_kb,seed",
+    [
+        # w/o CC: handling an install's dirty victim evicted the line
+        # just installed (the install dereferenced the missing line).
+        (1, 0),
+        (4, 0),
+        # cc-NVM: a line evicted while a pre-evict drain committed the
+        # queue under it was never reserved, so its HMAC never reached
+        # its parent (a false "counter HMAC mismatch" with no attacker).
+        (1, 3),
+    ],
+)
+def test_tiny_meta_cache_full_hierarchy_run(name, meta_kb, seed):
+    """A 512 KB milc-like trace through the whole hierarchy on a 1-4 KB
+    meta cache completes, and the flushed image verifies."""
+    config = small_config(meta_kb=meta_kb)
+    trace = replace(SPEC_PROFILES["milc"], footprint=512 * KB).generate(
+        3000, seed=seed
+    )
+    scheme = create_scheme(name, config, SMALL_CAPACITY, seed=0)
+    memory = MemoryHierarchy(config, scheme)
+    TraceCPU(config, memory).run(trace)
+    memory.flush()
+    tree = MerkleTree(scheme.nvm, scheme.hmac, scheme.genesis)
+    assert tree.verify_consistent(scheme.tcb.root_new)

@@ -1,28 +1,27 @@
-"""Cache failure semantics under chaos: puts fail cleanly (no partial
-entry ever visible), orphaned temp files are swept, and a supervised
-sweep tolerates put failures because the journal still holds the result.
+"""Cache failure semantics under injected I/O errors: puts fail cleanly
+(no partial entry ever visible), orphaned temp files are swept, and a
+supervised sweep tolerates put failures because the journal still holds
+the result (and journal failures because the cache does).
+
+The failures are injected by monkeypatching the calls the cache and the
+journal really make — ``os.fsync``, ``os.replace`` and the cache's
+atomic write — so no test-only hook lives in the package.
 """
 
 import errno
+import importlib
+import os
 
 import pytest
 
-from repro.chaos.inject import install, reset
-from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosPlan
 from repro.runs.cache import ResultCache
 from repro.runs.journal import RunJournal
 from repro.runs.orchestrate import run_specs, sweep_journal_path
 from repro.runs.spec import simulation_spec
 
+cache_mod = importlib.import_module("repro.runs.cache")
+
 FINGERPRINT = "test-fingerprint"
-
-
-@pytest.fixture(autouse=True)
-def clean_injector(monkeypatch):
-    monkeypatch.delenv(CHAOS_PLAN_ENV, raising=False)
-    reset()
-    yield
-    reset()
 
 
 def make_cache(tmp_path):
@@ -33,103 +32,119 @@ def spec_for(seed=1):
     return simulation_spec("ccnvm", "lbm", 40, seed)
 
 
+def fail_once(monkeypatch, module, name, code):
+    """Make ``module.name`` raise ``OSError(code)`` on its next call only."""
+    real = getattr(module, name)
+    calls = {"count": 0}
+
+    def failing(*args, **kwargs):
+        calls["count"] += 1
+        if calls["count"] == 1:
+            raise OSError(code, f"injected {errno.errorcode[code]} in {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def fail_entry_writes(monkeypatch, cache):
+    """Every write of a result entry fails with EIO (stats writes pass)."""
+    real = cache_mod._atomic_write_text
+
+    def write(path, text):
+        if path.parent.parent == cache.results_dir:
+            raise OSError(errno.EIO, "injected EIO writing a cache entry")
+        real(path, text)
+
+    monkeypatch.setattr(cache_mod, "_atomic_write_text", write)
+
+
 class TestPutFailures:
     @pytest.mark.parametrize(
-        "site,code",
-        [("cache.put_eio", errno.EIO), ("cache.put_enospc", errno.ENOSPC)],
+        "call,code",
+        [
+            # The rename that publishes the entry fails...
+            pytest.param("replace", errno.EIO, id="cache.put_eio"),
+            # ...or the disk fills before the bytes are durable.
+            pytest.param("fsync", errno.ENOSPC, id="cache.put_enospc"),
+        ],
     )
     def test_put_raises_cleanly_with_no_partial_entry(
-        self, tmp_path, site, code
+        self, tmp_path, monkeypatch, call, code
     ):
         cache = make_cache(tmp_path)
         spec = spec_for()
-        install(ChaosPlan(0, {site: {"hits": [1]}}))
+        fail_once(monkeypatch, os, call, code)
         with pytest.raises(OSError) as failure:
             cache.put(spec, {"value": 1})
         assert failure.value.errno == code
         # Nothing visible, nothing half-written.
-        assert not cache.contains(spec)
+        assert not cache.path_for(spec).exists()
         assert cache.get(spec) is None
         gen_dir = cache.results_dir / FINGERPRINT
         assert list(gen_dir.glob("*.json")) == []
         assert list(gen_dir.glob("*.tmp")) == []
-        # The site fires once; the retried put lands normally.
+        # The failure was transient; the retried put lands normally.
         assert cache.put(spec, {"value": 1}).is_file()
         assert cache.get(spec) == {"value": 1}
 
     def test_put_torn_orphans_tmp_and_gc_sweeps_it(self, tmp_path):
         cache = make_cache(tmp_path)
         spec = spec_for()
-        install(ChaosPlan(0, {"cache.put_torn": {"hits": [1]}}))
-        with pytest.raises(OSError) as failure:
-            cache.put(spec, {"value": 1})
-        assert failure.value.errno == errno.EIO
-        gen_dir = cache.results_dir / FINGERPRINT
-        orphans = list(gen_dir.glob("*.tmp"))
-        # The writer died mid-write: a partial temp file exists but the
-        # entry itself was never made visible.
-        assert len(orphans) == 1
-        assert not cache.contains(spec)
+        # A writer killed mid-put leaves its partial temp file behind;
+        # the entry itself was never renamed into place.
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        orphan = path.parent / f"{path.name}abc123.tmp"
+        orphan.write_text('{"torn":', encoding="utf-8")
         assert cache.get(spec) is None
         # gc always sweeps writer orphans, whatever its retention knobs.
-        orphan_bytes = orphans[0].stat().st_size
         swept = cache.gc(max_generations=5)
-        assert swept["reclaimed_bytes"] >= orphan_bytes > 0
-        assert list(gen_dir.glob("*.tmp")) == []
+        assert swept["reclaimed_bytes"] >= len('{"torn":')
+        assert list(path.parent.glob("*.tmp")) == []
         # A later clean put is unaffected.
         cache.put(spec, {"value": 2})
         assert cache.get(spec) == {"value": 2}
 
-    def test_get_missing_forces_a_miss_without_touching_disk(self, tmp_path):
-        cache = make_cache(tmp_path)
-        spec = spec_for()
-        cache.put(spec, {"value": 7})
-        install(ChaosPlan(0, {"cache.get_missing": {"hits": [1]}}))
-        assert cache.get(spec) is None  # forced miss
-        assert cache.contains(spec)  # the entry is still on disk
-        assert cache.get(spec) == {"value": 7}  # next read is honest
-        assert cache.misses == 1 and cache.hits == 1
-
 
 class TestSweepTolerance:
-    def test_failed_puts_are_counted_not_fatal(self, tmp_path):
+    def test_failed_puts_are_counted_not_fatal(self, tmp_path, monkeypatch):
         # Every put attempt fails (put_tolerant retries three times per
         # record); the sweep still completes and the journal holds the
         # results, so a rerun resumes from it.
         cache = make_cache(tmp_path)
         specs = [spec_for(1)]
-        install(
-            ChaosPlan(0, {"cache.put_eio": {"hits": [1, 2, 3]}})
-        )
-        journal_path = sweep_journal_path(cache, "chaos-test", specs)
+        fail_entry_writes(monkeypatch, cache)
+        journal_path = sweep_journal_path(cache, "io-fault-test", specs)
         with RunJournal(journal_path, FINGERPRINT) as journal:
             report = run_specs(specs, jobs=1, cache=cache, journal=journal)
         assert report.failed == 0
         assert report.executed == 1
         assert report.cache_put_errors == 1
-        assert not cache.contains(specs[0])
+        assert not cache.path_for(specs[0]).exists()
 
-        reset()  # chaos off for the rerun
+        monkeypatch.undo()  # the disk recovers for the rerun
         with RunJournal(journal_path, FINGERPRINT) as journal:
             rerun = run_specs(specs, jobs=1, cache=cache, journal=journal)
         assert rerun.executed == 0
         assert rerun.journal_hits == 1
         assert rerun.payload(specs[0]) == report.payload(specs[0])
 
-    def test_failed_journal_appends_leave_the_cache_copy(self, tmp_path):
+    def test_failed_journal_appends_leave_the_cache_copy(
+        self, tmp_path, monkeypatch
+    ):
         cache = make_cache(tmp_path)
         specs = [spec_for(1)]
-        install(ChaosPlan(0, {"journal.fsync_fail": {"hits": [2]}}))
-        journal_path = sweep_journal_path(cache, "chaos-test", specs)
+        journal_path = sweep_journal_path(cache, "io-fault-test", specs)
         with RunJournal(journal_path, FINGERPRINT) as journal:
-            # Visit 1 is the header append of the fresh journal; visit 2
-            # is this sweep's only record.
+            # The journal's record append is the sweep's first fsync
+            # (the cache put follows it).
+            fail_once(monkeypatch, os, "fsync", errno.EIO)
             report = run_specs(specs, jobs=1, cache=cache, journal=journal)
         assert report.failed == 0
         assert report.journal_errors == 1
-        assert cache.contains(specs[0])
+        assert cache.path_for(specs[0]).is_file()
 
-        reset()
+        monkeypatch.undo()
         with RunJournal(journal_path, FINGERPRINT) as journal:
             rerun = run_specs(specs, jobs=1, cache=cache, journal=journal)
         assert rerun.cache_hits == 1

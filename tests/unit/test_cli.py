@@ -36,8 +36,16 @@ class TestParser:
             build_parser().parse_args(["faults", "run", "--schemes", "magic"])
 
     def test_faults_run_defaults(self):
-        args = build_parser().parse_args(["faults", "run", "--smoke"])
-        assert args.smoke and args.schemes is None and args.export is None
+        args = build_parser().parse_args(["faults", "run"])
+        assert args.schemes is None and args.sites is None
+        assert args.steps is None and args.export is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["faults", "run", "--smoke"])
+
+    def test_retired_commands_are_gone(self):
+        for command in ("serve", "client", "chaos"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_faults_sites_flags(self):
         args = build_parser().parse_args(

@@ -7,24 +7,16 @@ garbage after a crash, and recovery must land on exactly the prefix of
 fully-written records — never fewer, never a partial one.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
-from repro.chaos.inject import install, reset
-from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosPlan
 from repro.runs.journal import RunJournal
 from repro.runs.spec import simulation_spec
 
 FINGERPRINT = "test-fingerprint"
-
-
-@pytest.fixture(autouse=True)
-def clean_injector(monkeypatch):
-    monkeypatch.delenv(CHAOS_PLAN_ENV, raising=False)
-    reset()
-    yield
-    reset()
 
 
 def build_journal(path, n=3):
@@ -85,19 +77,37 @@ class TestTornTailFuzz:
         assert header["fingerprint"] == "other-fingerprint"
 
 
+class _TornWriter:
+    """Wraps a journal's file: the next write lands half, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, data):
+        self.handle.write(data[: max(1, len(data) // 2)])
+        raise OSError(errno.EIO, "torn append: the writer died mid-record")
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
 class TestChaosRepair:
+    """A failed append (torn write, failed fsync) truncates the file back
+    to the last good record before re-raising."""
+
     def test_append_torn_truncates_back_and_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         specs, full, _ = build_journal(path)
         extra = simulation_spec("ccnvm", "lbm", 40, 99)
-        # Resuming skips the header append, so visit 1 of the site is
-        # the first record append below.
-        install(ChaosPlan(0, {"journal.append_torn": {"hits": [1]}}))
         with RunJournal(path, FINGERPRINT) as journal:
+            handle = journal._handle
+            journal._handle = _TornWriter(handle)
             with pytest.raises(OSError, match="torn append"):
                 journal.record(extra, "done", {})
+            journal._handle = handle
             # Disk-first: neither disk nor memory holds the record.
             assert extra.spec_hash() not in journal.records
+            assert path.read_bytes() == full
             # The torn tail was truncated back inside the failed append;
             # a clean retry in the same session then lands whole.
             journal.record(extra, "done", {"ok": True})
@@ -105,17 +115,21 @@ class TestChaosRepair:
         assert data.startswith(full)
         assert json.loads(data.splitlines()[-1])["spec_hash"] == extra.spec_hash()
 
-    def test_fsync_fail_discards_the_record(self, tmp_path):
+    def test_fsync_fail_discards_the_record(self, tmp_path, monkeypatch):
         path = tmp_path / "sweep.jsonl"
         specs, full, _ = build_journal(path)
         extra = simulation_spec("ccnvm", "lbm", 40, 99)
-        install(ChaosPlan(0, {"journal.fsync_fail": {"hits": [1]}}))
         with RunJournal(path, FINGERPRINT) as journal:
+
+            def failing_fsync(fd):
+                raise OSError(errno.EIO, "fsync failed")
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
             with pytest.raises(OSError, match="fsync"):
                 journal.record(extra, "done", {})
+            monkeypatch.undo()
             assert extra.spec_hash() not in journal.records
         assert path.read_bytes() == full
         # A fresh session resumes exactly the pre-failure records.
-        reset()
         with RunJournal(path, FINGERPRINT) as journal:
             assert journal.resumed == len(specs)
