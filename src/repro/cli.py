@@ -10,17 +10,17 @@ Commands:
 * ``faults run`` — the fault-injection campaign (crash sites x schemes x
   media faults) judged by the differential recovery oracle;
 * ``faults sites`` — the catalogue of instrumented crash sites;
-* ``crash explore`` — enumerate every crash state ADR semantics permit
-  for a recorded persist trace and judge each one's recovery
-  (``--classes`` routes the states through the equivalence-class
-  reducer); ``crash campaign`` — the standing scheme x workload grid of
-  reduced explorations with exhaustive-coverage gates; ``crash
-  replay`` / ``crash minimize`` — re-run and delta-debug the replayable
-  reproducer artifacts the explorer emits for violations;
+* ``crash campaign`` — every crash state ADR semantics permit, for each
+  scheme x workload grid cell, judged through the equivalence-class
+  reducer with exhaustive-coverage gates (``--nested-depth`` adds
+  crash-during-recovery schedules, ``--torn-batches`` protocol-violating
+  states); ``crash replay`` / ``crash minimize`` — re-run and
+  delta-debug the replayable reproducer artifacts the campaign emits
+  for violations;
 * ``traffic ace`` — bounded exhaustive workload enumeration
   (k writes x address-overlap patterns x fence placements, canonical-form
-  deduped) with ``--campaign`` running the whole set through the crash
-  explorer; ``traffic ingest`` — validate/normalize an external trace
+  deduped) with ``--campaign`` running the whole set as a crash
+  campaign; ``traffic ingest`` — validate/normalize an external trace
   (CSV/JSONL/Lackey) into the content-addressed trace store; ``traffic
   interleave`` — merge N tenant streams over one memory system with
   per-tenant attribution; ``traffic catalog`` — descriptor schema, ace
@@ -30,8 +30,9 @@ Commands:
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
-``evaluate``, ``sweep``, ``faults run`` and ``crash explore`` all submit
-through the run orchestrator: ``--jobs N`` fans the grid out over N worker processes,
+``evaluate``, ``sweep``, ``faults run``, ``crash campaign`` and ``traffic
+ace --campaign`` all submit through the run orchestrator: ``--jobs N``
+fans the grid out over N worker processes,
 results are reused from ``.repro-cache/`` when the simulator sources are
 unchanged (``--no-cache`` forces re-execution), and interrupted sweeps
 resume from their journal.
@@ -90,7 +91,8 @@ def _progress_printer(args: argparse.Namespace):
 
 
 def _run_kwargs(args: argparse.Namespace) -> dict:
-    """Orchestration knobs shared by evaluate/sweep/faults run."""
+    """Orchestration knobs shared by evaluate, sweep, faults run, crash
+    campaign and the traffic commands."""
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
@@ -346,13 +348,11 @@ def cmd_faults_run(args: argparse.Namespace) -> int:
         import dataclasses
 
         cfg = dataclasses.replace(cfg, **overrides)
-    result = run_campaign(
-        cfg,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        timeout=args.timeout,
-        progress=_progress_printer(args),
-    )
+    try:
+        result = run_campaign(cfg, **_run_kwargs(args))
+    except ValueError as exc:
+        print(f"faults run: {exc}", file=sys.stderr)
+        return 2
     print(result.summary())
     if args.export:
         import os
@@ -399,104 +399,14 @@ def cmd_faults_sites(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crash_explore(args: argparse.Namespace) -> int:
-    from repro.crashsim import ExploreConfig, run_explore
-    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
-
-    cfg = ExploreConfig(
-        schemes=tuple(args.schemes),
-        steps=DEFAULT_STEPS if args.steps is None else args.steps,
-        window=args.window,
-        budget=args.budget,
-        seed=args.seed,
-        shards=DEFAULT_SHARDS if args.shards is None else args.shards,
-        torn_batches=args.torn_batches,
-        nested_depth=args.nested_depth,
-        profile=args.profile,
-        reduce=args.classes,
-        spot=args.spot,
-    )
-    mode = "classes (reduced, exhaustive)" if cfg.reduce else f"budget {cfg.budget}"
-    print(f"crash exploration: {', '.join(cfg.schemes)} @ {cfg.steps} steps, "
-          f"profile {cfg.profile}, window {cfg.window}, {mode}, seed {cfg.seed} "
-          f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
-    summary, report = run_explore(cfg, **_run_kwargs(args))
-    print()
-    ok = True
-    for scheme, entry in summary["schemes"].items():
-        violations = entry["violations"]
-        mismatches = entry.get("class_mismatches", [])
-        status = (
-            "ok"
-            if not violations and entry["nested_ok"] and not mismatches
-            else "VIOLATED"
-        )
-        ok = ok and status == "ok"
-        outcomes = ", ".join(f"{k}={v}" for k, v in entry["outcomes"].items())
-        print(f"  {scheme:14s} {entry['states_evaluated']:5d} states "
-              f"({entry['distinct_states']} distinct)  [{outcomes}]  "
-              f"{len(violations)} violation(s), "
-              f"nested {'ok' if entry['nested_ok'] else 'FAILED'}  -> {status}")
-        if cfg.reduce:
-            ratio = entry["reduction_ratio"]
-            print(f"  {'':14s} {entry['classes']} classes cover "
-                  f"{entry['states_covered']} states with "
-                  f"{entry['oracle_calls']} oracle calls "
-                  f"({ratio if ratio is not None else '-'}x reduction), "
-                  f"{len(mismatches)} spot mismatch(es)")
-        for v in violations[:5]:
-            print(f"      {v['state']}: {'; '.join(v['verdict']['problems'][:2])}")
-    print(f"\norchestration: {report.summary()}")
-    if args.export:
-        from repro.analysis.export import crash_summary_to_json
-
-        with open(args.export, "w") as f:
-            f.write(crash_summary_to_json(summary))
-        print(f"wrote exploration summary to {args.export}")
-    if args.reproducers:
-        import json
-        import os
-
-        os.makedirs(args.reproducers, exist_ok=True)
-        written = 0
-        for scheme, entry in summary["schemes"].items():
-            for v in entry["violations"]:
-                if "reproducer" not in v:
-                    continue
-                name = v["state"].replace("=", "").replace(",", "_")
-                path = os.path.join(args.reproducers, f"{scheme}_{name}.json")
-                with open(path, "w") as f:
-                    json.dump(v["reproducer"], f, indent=2, sort_keys=True)
-                written += 1
-        print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
-    return 0 if ok else 1
-
-
-def cmd_crash_campaign(args: argparse.Namespace) -> int:
-    from repro.crashsim import CrashCampaignConfig, run_campaign
-    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
-
-    cfg = CrashCampaignConfig(
-        schemes=tuple(args.schemes or ()),
-        profiles=tuple(args.profiles or ()),
-        steps=DEFAULT_STEPS if args.steps is None else args.steps,
-        window=args.window,
-        seed=args.seed,
-        shards=DEFAULT_SHARDS if args.shards is None else args.shards,
-        spot=args.spot,
-    )
-    schemes = cfg.resolved_schemes()
-    profiles = cfg.resolved_profiles()
-    print(f"crash campaign: {len(schemes)} scheme(s) x {len(profiles)} "
-          f"profile(s) @ {cfg.steps} steps, window {cfg.window}, seed "
-          f"{cfg.seed}, spot {cfg.spot} "
-          f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
-    summary, report = run_campaign(cfg, **_run_kwargs(args))
+def _print_campaign(summary: dict, report) -> None:
+    """The grid, totals and failures of one crash-campaign summary."""
     print()
     for scheme in sorted(summary["grid"]):
         for profile, cell in sorted(summary["grid"][scheme].items()):
             bad = (cell["violations"] or cell["class_mismatches"]
-                   or cell["sampling_fallbacks"])
+                   or cell["sampling_fallbacks"]
+                   or not cell.get("nested_ok", True))
             ratio = cell["reduction_ratio"]
             print(f"  {scheme:14s} {profile:12s} "
                   f"{cell['states_covered']:6d} states covered by "
@@ -508,25 +418,70 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
             for v in cell["violations"][:3]:
                 print(f"      {v['state']}: "
                       f"{'; '.join(v['verdict']['problems'][:2])}")
+            for site, runs in cell.get("nested", {}).items():
+                for r in runs:
+                    if r["problems"]:
+                        print(f"      nested {site} depth {r['depth']}: "
+                              f"{'; '.join(r['problems'][:2])}")
     totals = summary["totals"]
     failures = summary["failures"]
+    nested = (f"{totals['nested_runs']} nested schedule(s) "
+              f"({totals['nested_problems']} failed), "
+              if "nested_runs" in totals else "")
     print(f"\n  totals: {totals['cells']} cells, {totals['covered']} states "
           f"covered, {totals['oracle_calls']} oracle calls "
           f"({totals['reduction_ratio']}x), {totals['classes']} classes, "
           f"{totals['violations']} violation(s), "
           f"{totals['class_mismatches']} class mismatch(es), "
           f"{totals['sampling_fallbacks']} sampling fallback(s), "
-          f"{len(failures)} failed shard(s)")
+          f"{nested}{len(failures)} failed cell(s)")
     for failure in failures[:5]:
+        where = (f"shard {failure['shard']}" if "shard" in failure
+                 else f"nested {failure['site']} depth {failure['depth']}")
         print(f"      FAILED {failure['scheme']}/{failure['profile']} "
-              f"shard {failure['shard']}: {failure['error']}")
+              f"{where}: {failure['error']}")
     print(f"orchestration: {report.summary()}")
-    if args.json:
+
+
+def _write_summary(path: str | None, summary: dict) -> None:
+    if path:
         from repro.analysis.export import campaign_summary_to_json
 
-        with open(args.json, "w") as f:
+        with open(path, "w") as f:
             f.write(campaign_summary_to_json(summary))
-        print(f"wrote campaign summary to {args.json}")
+        print(f"wrote campaign summary to {path}")
+
+
+def cmd_crash_campaign(args: argparse.Namespace) -> int:
+    from repro.crashsim import CrashCampaignConfig, campaign_problems, run_campaign
+    from repro.crashsim.explore import DEFAULT_SHARDS, DEFAULT_STEPS
+
+    try:
+        cfg = CrashCampaignConfig(
+            schemes=tuple(args.schemes or ()),
+            profiles=tuple(args.profiles or ()),
+            steps=DEFAULT_STEPS if args.steps is None else args.steps,
+            window=args.window,
+            seed=args.seed,
+            shards=DEFAULT_SHARDS if args.shards is None else args.shards,
+            spot=args.spot,
+            nested_depth=args.nested_depth,
+            torn_batches=args.torn_batches,
+        )
+    except ValueError as exc:
+        print(f"crash campaign: {exc}", file=sys.stderr)
+        return 2
+    schemes = cfg.resolved_schemes()
+    profiles = cfg.resolved_profiles()
+    print(f"crash campaign: {len(schemes)} scheme(s) x {len(profiles)} "
+          f"profile(s) @ {cfg.steps} steps, window {cfg.window}, seed "
+          f"{cfg.seed}, spot {cfg.spot}"
+          f"{f', nested depth {cfg.nested_depth}' if cfg.nested_depth else ''}"
+          f"{', torn batches' if cfg.torn_batches else ''} "
+          f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
+    summary, report = run_campaign(cfg, **_run_kwargs(args))
+    _print_campaign(summary, report)
+    _write_summary(args.json, summary)
     if args.reproducers:
         import json
         import os
@@ -546,23 +501,7 @@ def cmd_crash_campaign(args: argparse.Namespace) -> int:
                         json.dump(v["reproducer"], f, indent=2, sort_keys=True)
                     written += 1
         print(f"wrote {written} minimized reproducer(s) to {args.reproducers}/")
-    problems = []
-    if totals["violations"]:
-        problems.append(f"{totals['violations']} violation(s)")
-    if totals["class_mismatches"]:
-        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
-    if totals["sampling_fallbacks"]:
-        problems.append(
-            f"{totals['sampling_fallbacks']} sampling fallback(s) "
-            "(coverage not exhaustive)"
-        )
-    if failures:
-        problems.append(f"{len(failures)} failed shard(s)")
-    if args.min_classes and totals["classes"] < args.min_classes:
-        problems.append(
-            f"only {totals['classes']} classes (< --min-classes "
-            f"{args.min_classes})"
-        )
+    problems = campaign_problems(summary, args.min_classes)
     if problems:
         print(f"campaign FAILED: {', '.join(problems)}")
         return 1
@@ -636,24 +575,6 @@ def cmd_crash_minimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traffic_gate(summary: dict) -> list[str]:
-    """The ace-campaign pass/fail gates (same bar as ``crash campaign``)."""
-    totals = summary["totals"]
-    problems = []
-    if totals["violations"]:
-        problems.append(f"{totals['violations']} violation(s)")
-    if totals["class_mismatches"]:
-        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
-    if totals["sampling_fallbacks"]:
-        problems.append(
-            f"{totals['sampling_fallbacks']} sampling fallback(s) "
-            "(coverage not exhaustive)"
-        )
-    if summary["failures"]:
-        problems.append(f"{len(summary['failures'])} failed shard(s)")
-    return problems
-
-
 def cmd_traffic_ace(args: argparse.Namespace) -> int:
     from repro.trafficgen.ace import (
         ace_campaign_config,
@@ -672,7 +593,7 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
             print(f"  {w.profile()}  lines={w.lines()}")
     if not args.campaign:
         return 0
-    from repro.crashsim import run_campaign
+    from repro.crashsim import campaign_problems, run_campaign
 
     cfg = ace_campaign_config(
         args.k, schemes=tuple(args.schemes or ()), seed=args.seed,
@@ -683,29 +604,9 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
           f"{len(cfg.profiles)} workload(s), seed {cfg.seed} "
           f"(jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})")
     summary, report = run_campaign(cfg, **_run_kwargs(args))
-    totals = summary["totals"]
-    print(f"\n  totals: {totals['cells']} cells, {totals['covered']} states "
-          f"covered, {totals['oracle_calls']} oracle calls, "
-          f"{totals['violations']} violation(s), "
-          f"{totals['sampling_fallbacks']} sampling fallback(s)")
-    for scheme in sorted(summary["grid"]):
-        cells = summary["grid"][scheme]
-        violations = sum(len(c["violations"]) for c in cells.values())
-        covered = sum(c["states_covered"] for c in cells.values())
-        print(f"  {scheme:14s} {len(cells):4d} workloads, "
-              f"{covered:6d} states covered, {violations} violation(s)")
-        for profile, cell in sorted(cells.items()):
-            for v in cell["violations"][:2]:
-                print(f"      {profile} {v['state']}: "
-                      f"{'; '.join(v['verdict']['problems'][:2])}")
-    print(f"orchestration: {report.summary()}")
-    if args.json:
-        from repro.analysis.export import campaign_summary_to_json
-
-        with open(args.json, "w") as f:
-            f.write(campaign_summary_to_json(summary))
-        print(f"wrote ace campaign summary to {args.json}")
-    problems = _traffic_gate(summary)
+    _print_campaign(summary, report)
+    _write_summary(args.json, summary)
+    problems = campaign_problems(summary)
     if problems:
         print(f"ace campaign FAILED: {', '.join(problems)}")
         return 1
@@ -1081,45 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
         "crash", help="systematic crash-state exploration (ADR semantics)"
     )
     csub = crash.add_subparsers(dest="crash_command", required=True)
-    cexplore = csub.add_parser(
-        "explore",
-        help="enumerate every ADR-permitted crash state and judge recovery",
-    )
-    cexplore.add_argument("--schemes", nargs="+", metavar="SCHEME",
-                          choices=sorted(SCHEME_LABELS), default=["ccnvm"])
-    cexplore.add_argument("--steps", type=int, default=None,
-                          help="write-backs in the recorded workload "
-                               "(default: the smoke budget)")
-    cexplore.add_argument("--window", type=int, default=4,
-                          help="in-flight reordering window (units)")
-    cexplore.add_argument("--budget", type=int, default=16,
-                          help="drop-set budget per crash point; exhaustive "
-                               "below it, seeded sampling above")
-    cexplore.add_argument("--seed", type=int, default=7)
-    cexplore.add_argument("--shards", type=int, default=None,
-                          help="enumerate cells per scheme (default 4)")
-    cexplore.add_argument("--torn-batches", action="store_true",
-                          help="also emit protocol-violating partially-applied "
-                               "batches (demonstrates oracle sensitivity)")
-    cexplore.add_argument("--nested-depth", type=int, default=2, choices=(1, 2),
-                          help="crash-during-recovery schedule depth")
-    cexplore.add_argument("--profile", default="hotset",
-                          help="recording workload: 'hotset' or a Figure-5 "
-                               "SPEC surrogate name")
-    cexplore.add_argument("--classes", action="store_true",
-                          help="route states through the equivalence-class "
-                               "reducer: exhaustive drop-sets (budget "
-                               "ignored), one oracle run per class")
-    cexplore.add_argument("--spot", type=int, default=1,
-                          help="passing-class witnesses spot-checked against "
-                               "the representative (reduce mode)")
-    cexplore.add_argument("--export", metavar="FILE", default=None,
-                          help="write the JSON exploration summary to FILE")
-    cexplore.add_argument("--reproducers", metavar="DIR", default=None,
-                          help="write minimized reproducer JSON artifacts "
-                               "into DIR")
-    add_run_options(cexplore)
-    cexplore.set_defaults(func=cmd_crash_explore)
     ccampaign = csub.add_parser(
         "campaign",
         help="the standing exhaustive campaign: scheme x workload grid of "
@@ -1143,6 +1005,15 @@ def build_parser() -> argparse.ArgumentParser:
     ccampaign.add_argument("--spot", type=int, default=1,
                            help="passing-class witnesses spot-checked per "
                                 "class")
+    ccampaign.add_argument("--nested-depth", type=int, default=0,
+                           choices=(0, 1, 2),
+                           help="also crash recovery itself at every recovery "
+                                "site, once (1) or twice in a row (2), per "
+                                "grid cell (default 0: off)")
+    ccampaign.add_argument("--torn-batches", action="store_true",
+                           help="also emit protocol-violating partially-"
+                                "applied batches (demonstrates oracle "
+                                "sensitivity; the campaign then fails)")
     ccampaign.add_argument("--min-classes", type=int, default=0,
                            help="fail unless the campaign distinguishes at "
                                 "least this many classes in total")
@@ -1215,15 +1086,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     tace = tsub.add_parser(
         "ace",
-        help="bounded exhaustive workload enumeration for the crash explorer",
+        help="bounded exhaustive workload enumeration for the crash campaign",
     )
     tace.add_argument("--k", type=int, default=3,
                       help="writes per workload (default 3)")
     tace.add_argument("--list", action="store_true",
                       help="print every canonical workload profile name")
     tace.add_argument("--campaign", action="store_true",
-                      help="run the full enumeration through the crash "
-                           "explorer with exhaustive-coverage gates")
+                      help="run the full enumeration as a crash campaign "
+                           "with exhaustive-coverage gates")
     tace.add_argument("--schemes", nargs="+", metavar="S", default=None,
                       choices=sorted(SCHEMES),
                       help="restrict the campaign (default: all schemes)")

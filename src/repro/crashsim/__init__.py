@@ -17,9 +17,11 @@ micro-steps; this package turns the recovery oracle into a *falsifier*:
    whole class (and exhaustive coverage needs no sampling);
 5. :mod:`~repro.crashsim.minimize` delta-debugs any violation to a
    minimal replayable reproducer;
-6. :mod:`~repro.crashsim.explore` fans the whole thing out through the
-   run orchestrator (cached, journaled, parallel) — one-shot
-   explorations and the standing scheme x workload crash campaign.
+6. :mod:`~repro.crashsim.explore` is the one crash driver: every crash
+   experiment — enumerate shards, nested crash-during-recovery
+   schedules and the fault campaign's named-site sweep — is a ``crash``
+   cell fanned out through the run orchestrator (cached, journaled,
+   parallel); :func:`run_campaign` runs the scheme x workload grid.
 """
 
 from repro.crashsim.enumerate import (
@@ -30,12 +32,10 @@ from repro.crashsim.enumerate import (
 )
 from repro.crashsim.explore import (
     CrashCampaignConfig,
-    ExploreConfig,
+    campaign_problems,
     campaign_specs,
-    explore_specs,
     record_trace,
     run_campaign,
-    run_explore,
 )
 from repro.crashsim.minimize import (
     Reproducer,
@@ -74,7 +74,6 @@ __all__ = [
     "CrashEnumerator",
     "CrashState",
     "CrashStateReducer",
-    "ExploreConfig",
     "PersistOp",
     "PersistTrace",
     "PersistTraceRecorder",
@@ -87,8 +86,8 @@ __all__ = [
     "Verdict",
     "applied_ops",
     "build_state",
+    "campaign_problems",
     "campaign_specs",
-    "explore_specs",
     "from_state",
     "minimize",
     "rebuild_trace",
@@ -97,5 +96,4 @@ __all__ = [
     "recovery_view",
     "replay",
     "run_campaign",
-    "run_explore",
 ]

@@ -1,24 +1,30 @@
-"""The explorer driver: fan crash-state enumeration through the orchestrator.
+"""The crash driver: every crash experiment runs as a ``crash`` cell.
 
-A full exploration of one scheme is embarrassingly parallel but far too
-big for one cacheable unit, so it is cut into **cells**, each a
-:class:`~repro.runs.spec.RunSpec` of the new ``crash`` kind:
+A crash campaign is embarrassingly parallel but far too big for one
+cacheable unit, so it is cut into **cells**, each a
+:class:`~repro.runs.spec.RunSpec` of the ``crash`` kind dispatched by
+:func:`execute_cell` on its ``mode``:
 
-* ``enumerate`` cells shard the trace's crash points by residue class
-  (``k % shards == shard``).  Every worker regenerates the identical
-  deterministic trace — specs stay tiny, exactly like the simulation
-  specs that ship workload recipes instead of traces — expands its own
-  points, runs the oracle on each state, and returns distinct
-  image hashes, an outcome histogram and (minimized) violations;
+* ``enumerate`` cells shard one (scheme, workload) trace's crash points
+  by residue class (``k % shards == shard``).  Every worker regenerates
+  the identical deterministic trace — specs stay tiny, exactly like the
+  simulation specs that ship workload recipes instead of traces —
+  expands its own points through the equivalence-class reducer
+  (exhaustive drop-sets, one oracle run per class), and returns
+  distinct image hashes, an outcome histogram, the class table and
+  (minimized) violations;
 * ``nested`` cells take the full-trace state and crash *recovery
   itself* at one scheduled recovery site (depth 1) or two in sequence
-  (depth 2), exercising the restartable ``recovery_pending`` path.
+  (depth 2), exercising the restartable ``recovery_pending`` path;
+* ``sites`` cells run one scheme's named-site sweep of
+  :mod:`repro.faults.campaign` (discover pass, armed injections and
+  media phase, all in one worker).
 
-Because cells run through :func:`repro.runs.orchestrate`, explorations
+Because cells run through :func:`repro.runs.orchestrate`, campaigns
 are content-cached (a warm re-run executes nothing), journaled,
 resumable and parallel.  The merged summary is deliberately free of
 timings and orchestration counts, so a serial run and a ``--jobs 2``
-run of the same exploration produce byte-identical JSON.
+run of the same campaign produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -38,59 +44,17 @@ DEFAULT_SHARDS = 4
 MAX_MINIMIZE = 3
 
 
-@dataclass(frozen=True)
-class ExploreConfig:
-    """Shape of one exploration."""
-
-    schemes: tuple[str, ...] = ("ccnvm",)
-    steps: int = DEFAULT_STEPS
-    window: int = 4
-    budget: int = 16
-    seed: int = 7
-    shards: int = DEFAULT_SHARDS
-    data_capacity: int = 1 << 16
-    #: Emit partially-applied batch states (protocol-violating; used to
-    #: demonstrate the oracle catches ordering bugs).
-    torn_batches: bool = False
-    #: Nested crash-during-recovery schedules per recovery site (1..2).
-    nested_depth: int = 2
-    #: Recording workload profile ('hotset' or a Figure-5 SPEC surrogate).
-    profile: str = "hotset"
-    #: Route enumeration through the equivalence-class reducer
-    #: (``crashsim.reduce``): exhaustive drop-sets, one oracle run per
-    #: class, witness verdict attribution.
-    reduce: bool = False
-    #: Passing-class witnesses spot-checked against the representative.
-    spot: int = 1
-
-
-def record_trace(scheme_name: str, cfg: ExploreConfig):
-    """Deterministically rebuild the persist trace for one scheme."""
+def record_trace(spec):
+    """Deterministically rebuild the persist trace one crash cell judges."""
     from repro.core.schemes import create_scheme
     from repro.crashsim.workload import record_workload
 
-    scheme = create_scheme(
-        scheme_name, data_capacity=cfg.data_capacity, seed=cfg.seed
-    )
-    return scheme, record_workload(
-        scheme, cfg.steps, cfg.seed, profile=cfg.profile
-    )
-
-
-def _cell_config(spec) -> ExploreConfig:
     p = spec.params
-    return ExploreConfig(
-        schemes=(spec.scheme,),
-        steps=p["steps"],
-        window=p.get("window", 4),
-        budget=p.get("budget", 16),
-        seed=spec.seed,
-        shards=p.get("shards", 1),
-        data_capacity=p["data_capacity"],
-        torn_batches=p.get("torn", False),
-        profile=p.get("profile", "hotset"),
-        reduce=p.get("reduce", False),
-        spot=p.get("spot", 1),
+    scheme = create_scheme(
+        spec.scheme, data_capacity=p["data_capacity"], seed=spec.seed
+    )
+    return record_workload(
+        scheme, p["steps"], spec.seed, profile=p.get("profile", "hotset")
     )
 
 
@@ -107,7 +71,7 @@ def _violation_entry(state, verdict, reproducer=None) -> dict:
     return entry
 
 
-def _minimize_violation(spec, cfg, trace, oracle, state, verdict):
+def _minimize_violation(spec, trace, oracle, state, verdict):
     from repro.crashsim.enumerate import applied_ops, build_state
     from repro.crashsim.minimize import from_state, minimize
 
@@ -122,21 +86,20 @@ def _minimize_violation(spec, cfg, trace, oracle, state, verdict):
             f"{spec.scheme} crash state {state.describe()} minimized "
             f"from {len(ops)} to {len(minimal)} persist micro-ops"
         ),
-        data_capacity=cfg.data_capacity,
+        data_capacity=spec.params["data_capacity"],
     )
 
 
 def run_enumerate_cell(spec) -> dict:
     """Execute one ``enumerate`` shard; returns a JSON-able payload.
 
-    In *reduce* mode the shard routes every state through the
-    equivalence-class machinery: drop-sets are expanded exhaustively
-    (never sampled), one oracle run covers each class, violating classes
-    fall back to per-witness evaluation and pinned-drop variants of
-    violating states are materialized — violation findings stay
-    byte-identical to a brute-force run's, verdict for verdict.
+    The shard routes every state through the equivalence-class
+    machinery: drop-sets are expanded exhaustively (never sampled), one
+    oracle run covers each class, violating classes fall back to
+    per-witness evaluation and pinned-drop variants of violating states
+    are materialized — violation findings stay byte-identical to a
+    brute-force run's, verdict for verdict.
     """
-    from repro.crashsim.enumerate import CrashEnumerator
     from repro.crashsim.oracle import ClassOracle, RecoveryOracle
     from repro.crashsim.reduce import (
         CrashStateReducer,
@@ -145,34 +108,21 @@ def run_enumerate_cell(spec) -> dict:
         pin_variants,
     )
 
-    cfg = _cell_config(spec)
-    shard = spec.params["shard"]
-    shards = spec.params["shards"]
-    _, trace = record_trace(spec.scheme, cfg)
+    p = spec.params
+    shard, shards = p["shard"], p["shards"]
+    trace = record_trace(spec)
     oracle = RecoveryOracle(
-        spec.scheme, data_capacity=cfg.data_capacity, seed=cfg.seed
+        spec.scheme, data_capacity=p["data_capacity"], seed=spec.seed
     )
-    if cfg.reduce:
-        reducer = CrashStateReducer(
-            trace, spec.scheme, cfg.data_capacity, cfg.seed
-        )
-        enumerator = ReducedEnumerator(
-            trace,
-            reducer,
-            window=cfg.window,
-            seed=cfg.seed,
-            torn_batches=cfg.torn_batches,
-        )
-        class_oracle = ClassOracle(oracle, reducer, spot=cfg.spot)
-    else:
-        enumerator = CrashEnumerator(
-            trace,
-            window=cfg.window,
-            budget=cfg.budget,
-            seed=cfg.seed,
-            torn_batches=cfg.torn_batches,
-        )
-        class_oracle = None
+    reducer = CrashStateReducer(trace, spec.scheme, p["data_capacity"], spec.seed)
+    enumerator = ReducedEnumerator(
+        trace,
+        reducer,
+        window=p["window"],
+        seed=spec.seed,
+        torn_batches=p.get("torn", False),
+    )
+    class_oracle = ClassOracle(oracle, reducer, spot=p["spot"])
     hashes: set[str] = set()
     outcomes: Counter[str] = Counter()
     violations: list[dict] = []
@@ -181,12 +131,8 @@ def run_enumerate_cell(spec) -> dict:
     for state in enumerator.states(points=lambda k: k % shards == shard):
         evaluated += 1
         hashes.add(state.image_hash())
-        if class_oracle is None:
-            weight = 1
-            verdict = oracle.evaluate(state)
-        else:
-            weight = 1 if state.torn is not None else enumerator.weight(state.k)
-            verdict, _role = class_oracle.submit(state, weight=weight)
+        weight = 1 if state.torn is not None else enumerator.weight(state.k)
+        verdict, _role = class_oracle.submit(state, weight=weight)
         if verdict.ok:
             outcomes[verdict.outcome] += weight
             continue
@@ -194,11 +140,9 @@ def run_enumerate_cell(spec) -> dict:
         reproducer = None
         if minimized < MAX_MINIMIZE:
             minimized += 1
-            reproducer = _minimize_violation(
-                spec, cfg, trace, oracle, state, verdict
-            )
+            reproducer = _minimize_violation(spec, trace, oracle, state, verdict)
         violations.append(_violation_entry(state, verdict, reproducer))
-        if class_oracle is not None and state.torn is None:
+        if state.torn is None:
             # A violating state forfeits its pin weight: every pinned
             # variant it stood for is materialized and judged for real.
             for vdrop in pin_variants(state, enumerator.pins.get(state.k, ())):
@@ -208,10 +152,10 @@ def run_enumerate_cell(spec) -> dict:
                 outcomes[vverdict.outcome] += 1
                 if not vverdict.ok:
                     violations.append(_violation_entry(vstate, vverdict))
-    payload = {
+    return {
         "mode": "enumerate",
         "scheme": spec.scheme,
-        "profile": cfg.profile,
+        "profile": p.get("profile", "hotset"),
         "shard": shard,
         "shards": shards,
         "trace_units": len(trace.units),
@@ -221,14 +165,12 @@ def run_enumerate_cell(spec) -> dict:
         "outcomes": dict(sorted(outcomes.items())),
         "violations": violations,
         "sampling": dict(enumerator.sample_stats),
+        "reduce": True,
+        "covered": sum(outcomes.values()),
+        "oracle_calls": class_oracle.calls,
+        "classes": class_oracle.class_table(),
+        "class_mismatches": list(class_oracle.mismatches),
     }
-    if class_oracle is not None:
-        payload["reduce"] = True
-        payload["covered"] = sum(outcomes.values())
-        payload["oracle_calls"] = class_oracle.calls
-        payload["classes"] = class_oracle.class_table()
-        payload["class_mismatches"] = list(class_oracle.mismatches)
-    return payload
 
 
 def _nested_schedule(site: str, depth: int) -> list[tuple[str, int]]:
@@ -246,13 +188,12 @@ def run_nested_cell(spec) -> dict:
     from repro.crashsim.enumerate import applied_ops, build_state
     from repro.crashsim.oracle import RecoveryOracle
 
-    cfg = _cell_config(spec)
     site = spec.params["site"]
     depth = spec.params["depth"]
-    _, trace = record_trace(spec.scheme, cfg)
+    trace = record_trace(spec)
     state = build_state(trace, applied_ops(trace, (len(trace.units), (), None)))
     oracle = RecoveryOracle(
-        spec.scheme, data_capacity=cfg.data_capacity, seed=cfg.seed
+        spec.scheme, data_capacity=spec.params["data_capacity"], seed=spec.seed
     )
     schedule = _nested_schedule(site, depth)
     verdict = oracle.evaluate(state, schedule)
@@ -273,189 +214,15 @@ def execute_cell(spec) -> dict:
         return run_enumerate_cell(spec)
     if mode == "nested":
         return run_nested_cell(spec)
+    if mode == "sites":
+        from repro.faults.campaign import run_sites_cell
+
+        return run_sites_cell(spec)
     raise ValueError(f"unknown crash cell mode {mode!r}")
 
 
-def explore_specs(cfg: ExploreConfig) -> list:
-    """The cell decomposition of one exploration, as run specs."""
-    from repro.runs import RunSpec
-
-    base = {
-        "steps": cfg.steps,
-        "window": cfg.window,
-        "budget": cfg.budget,
-        "data_capacity": cfg.data_capacity,
-    }
-    if cfg.profile != "hotset":
-        base["profile"] = cfg.profile
-    specs = []
-    for scheme in cfg.schemes:
-        for shard in range(cfg.shards):
-            params = dict(
-                base, mode="enumerate", shard=shard, shards=cfg.shards
-            )
-            if cfg.torn_batches:
-                params["torn"] = True
-            if cfg.reduce:
-                params["reduce"] = True
-                params["spot"] = cfg.spot
-            specs.append(
-                RunSpec(kind="crash", scheme=scheme, seed=cfg.seed, params=params)
-            )
-        for site in sorted(RECOVERY_SITES):
-            for depth in range(1, cfg.nested_depth + 1):
-                specs.append(
-                    RunSpec(
-                        kind="crash",
-                        scheme=scheme,
-                        seed=cfg.seed,
-                        params=dict(base, mode="nested", site=site, depth=depth),
-                    )
-                )
-    return specs
-
-
-def run_explore(
-    cfg: ExploreConfig | None = None,
-    jobs: int = 1,
-    cache: bool = True,
-    cache_root=None,
-    timeout: float | None = None,
-    progress=None,
-):
-    """Run one exploration; returns ``(summary, RunReport)``.
-
-    The summary dict is pure content (no timings, no cache counters):
-    the same exploration summarizes byte-identically whether it ran
-    serially, pooled, or entirely from cache.  Orchestration accounting
-    lives in the returned :class:`~repro.runs.orchestrate.RunReport`.
-    """
-    from repro.runs import orchestrate
-
-    cfg = cfg or ExploreConfig()
-    specs = explore_specs(cfg)
-    report = orchestrate(
-        "crash-explore",
-        specs,
-        jobs=jobs,
-        use_cache=cache,
-        cache_root=cache_root,
-        timeout=timeout,
-        progress=progress,
-    )
-    report.raise_on_failure()
-
-    schemes: dict[str, dict] = {}
-    for spec in specs:
-        payload = report.payload(spec)
-        entry = schemes.setdefault(
-            spec.scheme,
-            {
-                "distinct_states": set(),
-                "evaluated": 0,
-                "trace_units": 0,
-                "outcomes": Counter(),
-                "violations": [],
-                "nested": {},
-                "sampling": Counter(),
-                "covered": 0,
-                "oracle_calls": 0,
-                "class_tables": [],
-                "class_mismatches": [],
-            },
-        )
-        if payload["mode"] == "enumerate":
-            entry["distinct_states"].update(payload["states"])
-            entry["evaluated"] += payload["evaluated"]
-            entry["trace_units"] = payload["trace_units"]
-            entry["outcomes"].update(payload["outcomes"])
-            entry["violations"].extend(payload["violations"])
-            entry["sampling"].update(payload.get("sampling", {}))
-            if payload.get("reduce"):
-                entry["covered"] += payload["covered"]
-                entry["oracle_calls"] += payload["oracle_calls"]
-                entry["class_tables"].append(payload["classes"])
-                entry["class_mismatches"].extend(payload["class_mismatches"])
-        else:
-            entry["nested"].setdefault(payload["site"], []).append(
-                {
-                    "depth": payload["depth"],
-                    "schedule": payload["schedule"],
-                    "outcome": payload["verdict"]["outcome"],
-                    "fired_sites": payload["verdict"]["fired_sites"],
-                    "problems": payload["verdict"]["problems"],
-                }
-            )
-
-    summary = {"config": _config_dict(cfg), "schemes": {}}
-    total_violations = 0
-    for scheme in sorted(schemes):
-        entry = schemes[scheme]
-        violations = sorted(entry["violations"], key=lambda v: (v["k"], v["state"]))
-        total_violations += len(violations)
-        nested = {
-            site: sorted(runs, key=lambda r: r["depth"])
-            for site, runs in sorted(entry["nested"].items())
-        }
-        sampling = {
-            key: int(entry["sampling"].get(key, 0))
-            for key in ("points", "requested", "sampled")
-        }
-        summary["schemes"][scheme] = {
-            "trace_units": entry["trace_units"],
-            "states_evaluated": entry["evaluated"],
-            "distinct_states": len(entry["distinct_states"]),
-            "outcomes": dict(sorted(entry["outcomes"].items())),
-            "violations": violations,
-            "nested": nested,
-            "nested_ok": all(
-                not r["problems"] for runs in nested.values() for r in runs
-            ),
-            "sampling": sampling,
-            # Exhaustive means no crash point ever fell back to sampled
-            # drop-sets; when False the run is a spot check, not a proof.
-            "coverage_exhaustive": sampling["points"] == 0,
-        }
-        if cfg.reduce:
-            table, merge_mismatches = _merge_class_tables(entry["class_tables"])
-            mismatches = entry["class_mismatches"] + merge_mismatches
-            summary["schemes"][scheme].update(
-                {
-                    "states_covered": entry["covered"],
-                    "oracle_calls": entry["oracle_calls"],
-                    "classes": len(table),
-                    "reduction_ratio": (
-                        round(entry["covered"] / entry["oracle_calls"], 3)
-                        if entry["oracle_calls"]
-                        else None
-                    ),
-                    "class_table": table,
-                    "class_mismatches": mismatches,
-                }
-            )
-    summary["total_violations"] = total_violations
-    return summary, report
-
-
-def _config_dict(cfg: ExploreConfig) -> dict:
-    return {
-        "schemes": sorted(cfg.schemes),
-        "steps": cfg.steps,
-        "window": cfg.window,
-        "budget": cfg.budget,
-        "seed": cfg.seed,
-        "shards": cfg.shards,
-        "data_capacity": cfg.data_capacity,
-        "torn_batches": cfg.torn_batches,
-        "nested_depth": cfg.nested_depth,
-        "profile": cfg.profile,
-        "reduce": cfg.reduce,
-        "spot": cfg.spot,
-    }
-
-
 # ---------------------------------------------------------------------------
-# The standing campaign: scheme x workload exhaustive exploration
+# The campaign: scheme x workload exhaustive exploration
 # ---------------------------------------------------------------------------
 
 
@@ -479,7 +246,23 @@ class CrashCampaignConfig:
     seed: int = 7
     shards: int = DEFAULT_SHARDS
     data_capacity: int = 1 << 16
+    #: Passing-class witnesses spot-checked against the representative.
     spot: int = 1
+    #: Crash-during-recovery schedules per recovery site and grid cell:
+    #: 0 = none, 1 = one crash inside recovery, 2 = also a second crash
+    #: inside the restarted recovery.
+    nested_depth: int = 0
+    #: Emit partially-applied batch states (protocol-violating; used to
+    #: demonstrate the oracle catches ordering bugs).
+    torn_batches: bool = False
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError(f"shards must be at least 1, got {self.shards}")
+        if not 0 <= self.nested_depth <= 2:
+            raise ValueError(
+                f"nested_depth must be 0, 1 or 2, got {self.nested_depth}"
+            )
 
     def resolved_schemes(self) -> tuple[str, ...]:
         from repro.crashsim.oracle import ALLOWED_OUTCOMES
@@ -493,31 +276,36 @@ class CrashCampaignConfig:
 
 
 def campaign_specs(cfg: CrashCampaignConfig) -> list:
-    """The campaign's cell decomposition: reduce-mode enumerate shards."""
+    """The campaign's cell decomposition: per grid cell, its enumerate
+    shards, then its nested schedules (``nested_depth`` per site)."""
     from repro.runs import RunSpec
 
     specs = []
     for scheme in cfg.resolved_schemes():
         for profile in cfg.resolved_profiles():
+            base = {"steps": cfg.steps, "data_capacity": cfg.data_capacity}
+            if profile != "hotset":
+                base["profile"] = profile
             for shard in range(cfg.shards):
-                params = {
-                    "steps": cfg.steps,
-                    "window": cfg.window,
-                    "budget": 1,
-                    "data_capacity": cfg.data_capacity,
-                    "mode": "enumerate",
-                    "shard": shard,
-                    "shards": cfg.shards,
-                    "reduce": True,
-                    "spot": cfg.spot,
-                }
-                if profile != "hotset":
-                    params["profile"] = profile
-                specs.append(
-                    RunSpec(
-                        kind="crash", scheme=scheme, seed=cfg.seed, params=params
-                    )
+                params = dict(
+                    base,
+                    mode="enumerate",
+                    window=cfg.window,
+                    shard=shard,
+                    shards=cfg.shards,
+                    spot=cfg.spot,
                 )
+                if cfg.torn_batches:
+                    params["torn"] = True
+                specs.append(
+                    RunSpec(kind="crash", scheme=scheme, seed=cfg.seed, params=params)
+                )
+            for site in sorted(RECOVERY_SITES):
+                for depth in range(1, cfg.nested_depth + 1):
+                    params = dict(base, mode="nested", site=site, depth=depth)
+                    specs.append(
+                        RunSpec(kind="crash", scheme=scheme, seed=cfg.seed, params=params)
+                    )
     return specs
 
 
@@ -557,6 +345,32 @@ def _merge_class_tables(tables: list[list[dict]]) -> tuple[list[dict], list[dict
     return table, mismatches
 
 
+def _new_cell() -> dict:
+    return {
+        "trace_units": 0,
+        "evaluated": 0,
+        "covered": 0,
+        "oracle_calls": 0,
+        "distinct_states": set(),
+        "outcomes": Counter(),
+        "violations": [],
+        "class_tables": [],
+        "mismatches": [],
+        "sampling_points": 0,
+        "nested": {},
+    }
+
+
+def _failure_key(failure: dict) -> tuple:
+    return (
+        failure["scheme"],
+        failure["profile"],
+        failure.get("shard", -1),
+        failure.get("site", ""),
+        failure.get("depth", 0),
+    )
+
+
 def run_campaign(
     cfg: CrashCampaignConfig | None = None,
     jobs: int = 1,
@@ -567,10 +381,12 @@ def run_campaign(
 ):
     """Run one campaign; returns ``(summary, RunReport)``.
 
-    Like :func:`run_explore` the summary is pure content — a serial run,
-    a pooled run and a warm-cache run of the same campaign summarize
-    byte-identically.  Failed shards are isolated: their grid cells are
-    reported under ``failures`` while every healthy cell still merges.
+    The summary is pure content (no timings, no cache counters): a
+    serial run, a pooled run and a warm-cache run of the same campaign
+    summarize byte-identically.  Orchestration accounting lives in the
+    returned :class:`~repro.runs.orchestrate.RunReport`.  Failed cells
+    are isolated: they are reported under ``failures`` while every
+    healthy cell still merges.
     """
     from repro.runs import orchestrate
 
@@ -589,34 +405,38 @@ def run_campaign(
     grid: dict[str, dict[str, dict]] = {}
     failures: list[dict] = []
     for spec in specs:
-        profile = spec.params.get("profile", "hotset")
+        p = spec.params
+        profile = p.get("profile", "hotset")
         outcome = report.outcomes[spec.spec_hash()]
         if not outcome.ok:
+            where = (
+                {"shard": p["shard"]}
+                if p["mode"] == "enumerate"
+                else {"site": p["site"], "depth": p["depth"]}
+            )
             failures.append(
                 {
                     "scheme": spec.scheme,
                     "profile": profile,
-                    "shard": spec.params["shard"],
+                    **where,
                     "error": outcome.error or outcome.status,
                 }
             )
             continue
         payload = outcome.payload
-        cell = grid.setdefault(spec.scheme, {}).setdefault(
-            profile,
-            {
-                "trace_units": 0,
-                "evaluated": 0,
-                "covered": 0,
-                "oracle_calls": 0,
-                "distinct_states": set(),
-                "outcomes": Counter(),
-                "violations": [],
-                "class_tables": [],
-                "mismatches": [],
-                "sampling_points": 0,
-            },
-        )
+        cell = grid.setdefault(spec.scheme, {}).setdefault(profile, _new_cell())
+        if payload["mode"] == "nested":
+            verdict = payload["verdict"]
+            cell["nested"].setdefault(payload["site"], []).append(
+                {
+                    "depth": payload["depth"],
+                    "schedule": payload["schedule"],
+                    "outcome": verdict["outcome"],
+                    "fired_sites": verdict["fired_sites"],
+                    "problems": verdict["problems"],
+                }
+            )
+            continue
         cell["trace_units"] = payload["trace_units"]
         cell["evaluated"] += payload["evaluated"]
         cell["covered"] += payload["covered"]
@@ -628,21 +448,25 @@ def run_campaign(
         cell["mismatches"].extend(payload["class_mismatches"])
         cell["sampling_points"] += payload["sampling"]["points"]
 
+    config = {
+        "schemes": list(cfg.resolved_schemes()),
+        "profiles": list(cfg.resolved_profiles()),
+        "steps": cfg.steps,
+        "window": cfg.window,
+        "seed": cfg.seed,
+        "shards": cfg.shards,
+        "data_capacity": cfg.data_capacity,
+        "spot": cfg.spot,
+    }
+    # Non-default knobs only, so a default campaign's document is unchanged.
+    if cfg.nested_depth:
+        config["nested_depth"] = cfg.nested_depth
+    if cfg.torn_batches:
+        config["torn_batches"] = True
     summary = {
-        "config": {
-            "schemes": list(cfg.resolved_schemes()),
-            "profiles": list(cfg.resolved_profiles()),
-            "steps": cfg.steps,
-            "window": cfg.window,
-            "seed": cfg.seed,
-            "shards": cfg.shards,
-            "data_capacity": cfg.data_capacity,
-            "spot": cfg.spot,
-        },
+        "config": config,
         "grid": {},
-        "failures": sorted(
-            failures, key=lambda f: (f["scheme"], f["profile"], f["shard"])
-        ),
+        "failures": sorted(failures, key=_failure_key),
     }
     totals = {
         "cells": 0,
@@ -654,6 +478,8 @@ def run_campaign(
         "class_mismatches": 0,
         "sampling_fallbacks": 0,
     }
+    if cfg.nested_depth:
+        totals["nested_runs"] = totals["nested_problems"] = 0
     for scheme in sorted(grid):
         for profile in sorted(grid[scheme]):
             cell = grid[scheme][profile]
@@ -670,7 +496,7 @@ def run_campaign(
             totals["violations"] += len(violations)
             totals["class_mismatches"] += len(mismatches)
             totals["sampling_fallbacks"] += cell["sampling_points"]
-            summary["grid"].setdefault(scheme, {})[profile] = {
+            entry = summary["grid"].setdefault(scheme, {})[profile] = {
                 "trace_units": cell["trace_units"],
                 "states_materialized": cell["evaluated"],
                 "states_covered": cell["covered"],
@@ -688,6 +514,17 @@ def run_campaign(
                 "class_mismatches": mismatches,
                 "sampling_fallbacks": cell["sampling_points"],
             }
+            if cfg.nested_depth:
+                nested = {
+                    site: sorted(runs, key=lambda r: r["depth"])
+                    for site, runs in sorted(cell["nested"].items())
+                }
+                runs = [r for site_runs in nested.values() for r in site_runs]
+                bad = sum(1 for r in runs if r["problems"])
+                entry["nested"] = nested
+                entry["nested_ok"] = not bad
+                totals["nested_runs"] += len(runs)
+                totals["nested_problems"] += bad
     totals["reduction_ratio"] = (
         round(totals["covered"] / totals["oracle_calls"], 3)
         if totals["oracle_calls"]
@@ -695,3 +532,34 @@ def run_campaign(
     )
     summary["totals"] = totals
     return summary, report
+
+
+def campaign_problems(summary: dict, min_classes: int = 0) -> list[str]:
+    """Why a campaign summary fails its gate; empty when it passes.
+
+    The bar: at least one grid cell ran, no violation, class mismatch,
+    sampling fallback (coverage would no longer be exhaustive), failed
+    nested schedule or failed cell, and at least *min_classes* classes.
+    """
+    totals = summary["totals"]
+    problems = []
+    if not totals["cells"]:
+        problems.append("no grid cells ran")
+    if totals["violations"]:
+        problems.append(f"{totals['violations']} violation(s)")
+    if totals["class_mismatches"]:
+        problems.append(f"{totals['class_mismatches']} class mismatch(es)")
+    if totals["sampling_fallbacks"]:
+        problems.append(
+            f"{totals['sampling_fallbacks']} sampling fallback(s) "
+            "(coverage not exhaustive)"
+        )
+    if totals.get("nested_problems"):
+        problems.append(f"{totals['nested_problems']} failed nested schedule(s)")
+    if summary["failures"]:
+        problems.append(f"{len(summary['failures'])} failed cell(s)")
+    if min_classes and totals["classes"] < min_classes:
+        problems.append(
+            f"only {totals['classes']} classes (< --min-classes {min_classes})"
+        )
+    return problems

@@ -69,8 +69,6 @@ class CampaignConfig:
     seed: int = 0
     #: Data-region bytes of the modeled device (small = fast rebuilds).
     data_capacity: int = 1 << 16
-    #: Also run the NVM media-fault phase.
-    media: bool = True
 
 
 @dataclass
@@ -425,13 +423,55 @@ def _media_phase(scheme_name: str, cfg: CampaignConfig) -> list[MediaResult]:
 # ---------------------------------------------------------------------------
 
 
-def _campaign_spec(kind: str, scheme: str, cfg: CampaignConfig, **extra):
-    """One campaign phase as an orchestratable run spec."""
-    from repro.runs import RunSpec
+def _crash_hit(scheme_name: str, site: str, count: int) -> int:
+    """Which visit of *site* the sweep arms its crash at.
 
-    params = {"steps": cfg.steps, "data_capacity": cfg.data_capacity}
-    params.update(extra)
-    return RunSpec(kind=kind, scheme=scheme, seed=cfg.seed, params=params)
+    Crash at the middle visit so both earlier and later protocol
+    activity surround the failure.  The design with no staleness bound
+    is instead crashed at the last visit: mid-loop its counters are ≤ N
+    updates stale and roll forward fine — only the accumulated tail
+    shows the miss.
+    """
+    if site in RECOVERY_SITES:
+        return 1
+    if scheme_name == "no_cc":
+        return count
+    return max(1, count // 2)
+
+
+def run_sites_cell(spec) -> dict:
+    """One scheme's whole sweep: the ``crash`` cell of ``mode="sites"``.
+
+    A discover pass records how often the workload visits each crash
+    site; every reached site is then crashed at :func:`_crash_hit`'s
+    visit, and the media phase runs last.  Returns the JSON-able
+    injection and media records, in sweep order.
+    """
+    p = spec.params
+    sites = p.get("sites")
+    cfg = CampaignConfig(
+        schemes=(spec.scheme,),
+        sites=None if sites is None else tuple(sites),
+        steps=p["steps"],
+        seed=spec.seed,
+        data_capacity=p["data_capacity"],
+    )
+    counts = _discover(spec.scheme, cfg)
+    injections = []
+    for site in sites_for_scheme(spec.scheme):
+        if cfg.sites is not None and site not in cfg.sites:
+            continue
+        count = counts.get(site, 0)
+        if count == 0:
+            result = InjectionResult(
+                spec.scheme, site, 0, False, "NOT_REACHED", "NOT_REACHED", True,
+                notes=["site not reached by this scheme/workload"],
+            )
+        else:
+            result = _inject(spec.scheme, site, _crash_hit(spec.scheme, site, count), cfg)
+        injections.append(result.to_dict())
+    media = [m.to_dict() for m in _media_phase(spec.scheme, cfg)]
+    return {"injections": injections, "media": media}
 
 
 def run_campaign(
@@ -442,89 +482,40 @@ def run_campaign(
     timeout: float | None = None,
     progress=None,
 ) -> CampaignResult:
-    """Sweep schemes x crash sites (x media faults) and judge every run.
+    """Sweep schemes x crash sites x media faults and judge every run.
 
-    Two orchestrated waves: a per-scheme *discover* pass records how often
-    the workload visits each crash site, then every armed injection and
-    media phase runs as its own isolated spec — in parallel under
-    ``jobs``, content-cached under ``cache``.
+    Each scheme is one ``crash`` cell (:func:`run_sites_cell`) run
+    through the orchestrator — in parallel under ``jobs``,
+    content-cached under ``cache``.  Raises :class:`ValueError` when a
+    requested site is reachable by none of the selected schemes, so a
+    sweep that would inject nothing never passes.
     """
-    from repro.runs import orchestrate
+    from repro.runs import RunSpec, orchestrate
 
     cfg = cfg or CampaignConfig()
+    if cfg.sites is not None:
+        reachable = {s for scheme in cfg.schemes for s in sites_for_scheme(scheme)}
+        unreachable = [s for s in cfg.sites if s not in reachable]
+        if unreachable:
+            raise ValueError(
+                f"no selected scheme ({', '.join(cfg.schemes)}) can reach "
+                f"site(s): {', '.join(unreachable)}"
+            )
+    params = {"mode": "sites", "steps": cfg.steps, "data_capacity": cfg.data_capacity}
+    if cfg.sites is not None:
+        params["sites"] = list(cfg.sites)
+    specs = [
+        RunSpec(kind="crash", scheme=s, seed=cfg.seed, params=params)
+        for s in cfg.schemes
+    ]
+    report = orchestrate(
+        "faults-campaign", specs, jobs=jobs, use_cache=cache,
+        cache_root=cache_root, timeout=timeout, progress=progress,
+    )
+    report.raise_on_failure()
     result = CampaignResult(schemes=cfg.schemes, steps=cfg.steps, seed=cfg.seed)
-
-    discover = {s: _campaign_spec("discover", s, cfg) for s in cfg.schemes}
-    wave1 = orchestrate(
-        "faults-discover", list(discover.values()), jobs=jobs, use_cache=cache,
-        cache_root=cache_root, timeout=timeout, progress=progress,
-    )
-    wave1.raise_on_failure()
-    counts = {s: wave1.payload(spec) for s, spec in discover.items()}
-
-    #: (scheme, site) -> spec | synthesized NOT_REACHED result.
-    plan: list[tuple[str, object]] = []
-    for scheme_name in cfg.schemes:
-        for site in sites_for_scheme(scheme_name):
-            if cfg.sites is not None and site not in cfg.sites:
-                continue
-            count = counts[scheme_name].get(site, 0)
-            if count == 0:
-                plan.append(
-                    (
-                        scheme_name,
-                        InjectionResult(
-                            scheme_name, site, 0, False, "NOT_REACHED",
-                            "NOT_REACHED", True,
-                            notes=["site not reached by this scheme/workload"],
-                        ),
-                    )
-                )
-                continue
-            # Crash at the middle visit so both earlier and later
-            # protocol activity surround the failure.  The design with
-            # no staleness bound is instead crashed at the last visit:
-            # mid-loop its counters are ≤ N updates stale and roll
-            # forward fine — only the accumulated tail shows the miss.
-            if site in RECOVERY_SITES:
-                hit = 1
-            elif scheme_name == "no_cc":
-                hit = count
-            else:
-                hit = max(1, count // 2)
-            plan.append(
-                (
-                    scheme_name,
-                    _campaign_spec("injection", scheme_name, cfg, site=site, hit=hit),
-                )
-            )
-    media_specs = (
-        {s: _campaign_spec("media", s, cfg) for s in cfg.schemes} if cfg.media else {}
-    )
-
-    from repro.runs import RunSpec
-
-    pending = [spec for _, spec in plan if isinstance(spec, RunSpec)]
-    pending.extend(media_specs.values())
-    wave2 = orchestrate(
-        "faults-campaign", pending, jobs=jobs, use_cache=cache,
-        cache_root=cache_root, timeout=timeout, progress=progress,
-    )
-    wave2.raise_on_failure()
-
-    for scheme_name in cfg.schemes:
-        for owner, item in plan:
-            if owner != scheme_name:
-                continue
-            if isinstance(item, InjectionResult):
-                result.injections.append(item)
-            else:
-                result.injections.append(
-                    InjectionResult.from_dict(wave2.payload(item))
-                )
-        if cfg.media:
-            result.media.extend(
-                MediaResult.from_dict(m)
-                for m in wave2.payload(media_specs[scheme_name])
-            )
+    for spec in specs:
+        payload = report.payload(spec)
+        result.injections.extend(InjectionResult.from_dict(r) for r in payload["injections"])
+        result.media.extend(MediaResult.from_dict(m) for m in payload["media"])
     return result

@@ -35,7 +35,7 @@ from repro.common.config import (
 )
 
 #: Run kinds the worker pool knows how to execute (see ``runs.pool``).
-RUN_KINDS = ("simulation", "injection", "media", "discover", "crash")
+RUN_KINDS = ("simulation", "crash")
 
 
 def canonical_json(obj: Any) -> str:
@@ -85,9 +85,8 @@ def _normalize_config(config: SystemConfig | Mapping | None) -> dict | None:
 class RunSpec:
     """Everything that determines one experiment's result, as data.
 
-    * ``kind`` — what the worker executes: a full-system ``simulation``,
-      a fault-campaign ``injection``/``media`` phase, or a crash-site
-      ``discover`` pass.
+    * ``kind`` — what the worker executes: a full-system ``simulation``
+      or a ``crash`` cell (see :func:`repro.crashsim.explore.execute_cell`).
     * ``scheme`` / ``workload`` / ``length`` / ``seed`` — the design and
       the workload recipe (SPEC surrogate name + generator parameters).
     * ``scheme_seed`` — the key-derivation seed handed to
@@ -96,8 +95,9 @@ class RunSpec:
     * ``warmup`` — warmup fraction replayed before measurement.
     * ``config`` — full :func:`config_to_dict` image, or ``None`` for the
       paper-default :class:`SystemConfig`.
-    * ``params`` — kind-specific knobs (crash site, hit index, campaign
-      steps, data capacity ...); folded into the hash like everything else.
+    * ``params`` — kind-specific knobs (crash cell mode, shard, recovery
+      site, campaign steps, data capacity ...); folded into the hash like
+      everything else.
     """
 
     kind: str = "simulation"

@@ -7,10 +7,17 @@ is byte-identical across serial, pooled and warm-cache runs; and a
 failing shard is isolated instead of poisoning the rest of the grid.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.export import campaign_summary_to_json
-from repro.crashsim import CrashCampaignConfig, campaign_specs, run_campaign
+from repro.crashsim import (
+    CrashCampaignConfig,
+    campaign_problems,
+    campaign_specs,
+    run_campaign,
+)
 
 SMOKE = CrashCampaignConfig(
     schemes=("ccnvm", "sc"),
@@ -18,6 +25,11 @@ SMOKE = CrashCampaignConfig(
     steps=48,
     shards=2,
 )
+
+#: sha256 of ``campaign_summary_to_json(run_campaign(SMOKE))``, recorded
+#: before the explorer and the named-site sweep were folded into this
+#: driver: grid, class tables, totals and config keys must not move.
+SMOKE_SHA256 = "019b8ad2dc5f8881eb5575a8ab8d7f59231965ea6913ce014294571d3fec431c"
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +85,11 @@ class TestCampaignSmoke:
                 assert cell["violations"] == []
                 assert cell["class_mismatches"] == []
                 assert all(c["ok"] for c in cell["class_table"])
+
+    def test_summary_document_digest(self, smoke):
+        summary, _, _ = smoke
+        document = campaign_summary_to_json(summary)
+        assert hashlib.sha256(document.encode()).hexdigest() == SMOKE_SHA256
 
     def test_warm_rerun_is_fully_cached_and_identical(self, smoke):
         summary, report, root = smoke
@@ -137,5 +154,44 @@ class TestDefaults:
             * len(cfg.resolved_profiles())
             * cfg.shards
         )
-        assert all(s.params["reduce"] for s in specs)
-        assert all(s.params["budget"] == 1 for s in specs)
+        assert all(s.kind == "crash" for s in specs)
+        assert all(s.params["mode"] == "enumerate" for s in specs)
+        assert cfg.nested_depth == 0 and not cfg.torn_batches
+
+    def test_nested_depth_adds_schedules_per_grid_cell(self):
+        from repro.faults.plan import RECOVERY_SITES
+
+        cfg = CrashCampaignConfig(
+            schemes=("ccnvm",), profiles=("hotset", "lbm"), nested_depth=2
+        )
+        nested = [s for s in campaign_specs(cfg) if s.params["mode"] == "nested"]
+        assert len(nested) == 2 * len(RECOVERY_SITES) * 2
+        assert {s.params.get("profile", "hotset") for s in nested} == {
+            "hotset", "lbm",
+        }
+
+    @pytest.mark.parametrize(
+        "knobs", [{"shards": 0}, {"shards": -1}, {"nested_depth": -1}, {"nested_depth": 3}]
+    )
+    def test_invalid_shape_is_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            CrashCampaignConfig(**knobs)
+
+
+class TestGate:
+    def test_empty_campaign_fails(self, tmp_path, monkeypatch):
+        """A campaign whose every cell failed merges zero grid cells: it
+        must not pass as "exhaustive coverage, no violations"."""
+        import repro.crashsim.explore as explore_mod
+
+        def poisoned(spec):
+            raise RuntimeError("injected shard failure")
+
+        monkeypatch.setattr(explore_mod, "run_enumerate_cell", poisoned)
+        cfg = CrashCampaignConfig(
+            schemes=("ccnvm",), profiles=("hotset",), steps=24, shards=1
+        )
+        summary, _ = run_campaign(cfg, cache_root=tmp_path, cache=False)
+        assert summary["totals"]["cells"] == 0
+        problems = campaign_problems(summary)
+        assert "no grid cells ran" in problems

@@ -1,11 +1,12 @@
-"""Integration tests for the systematic crash-state explorer.
+"""Integration tests for the crash driver's exploration guarantees.
 
-The acceptance surface of the subsystem: the smoke-budget exploration
-clears 200+ distinct states per scheme with zero cc-NVM violations and
-a nested schedule per recovery site; a deliberately protocol-violating
-variant (torn batches) is caught *and* minimized to a handful of ops;
-and the whole thing is deterministic through the orchestrator — serial,
-pooled and fully-cached runs summarize byte-identically.
+The acceptance surface of the subsystem, run as crash campaigns: the
+smoke-budget campaign on ccnvm's hot set clears 200+ distinct states
+with zero violations and a nested schedule per recovery site; a
+deliberately protocol-violating variant (torn batches) is caught *and*
+minimized to a handful of ops; and the whole thing is deterministic
+through the orchestrator — serial, pooled and fully-cached runs
+summarize byte-identically.
 """
 
 import json
@@ -13,56 +14,68 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.export import crash_summary_to_json, reproducer_from_json
-from repro.crashsim import ExploreConfig, explore_specs, replay, run_explore
+from repro.analysis.export import campaign_summary_to_json, reproducer_from_json
+from repro.crashsim import (
+    CrashCampaignConfig,
+    campaign_problems,
+    campaign_specs,
+    replay,
+    run_campaign,
+)
 from repro.faults.plan import RECOVERY_SITES
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "crash_reproducer_torn_batch.json"
 
-SMOKE = ExploreConfig(schemes=("ccnvm",))
+SMOKE = CrashCampaignConfig(schemes=("ccnvm",), profiles=("hotset",), nested_depth=2)
 
 
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
     root = tmp_path_factory.mktemp("crash-cache")
-    summary, report = run_explore(SMOKE, cache_root=root)
+    summary, report = run_campaign(SMOKE, cache_root=root)
     return summary, report, root
 
 
 class TestSmokeExploration:
     def test_acceptance_floor(self, smoke):
         summary, _, _ = smoke
-        entry = summary["schemes"]["ccnvm"]
-        assert entry["distinct_states"] >= 200
-        assert entry["violations"] == []
-        assert summary["total_violations"] == 0
-        assert set(entry["outcomes"]) == {"RECOVERED"}
+        cell = summary["grid"]["ccnvm"]["hotset"]
+        assert cell["distinct_states"] >= 200
+        assert cell["violations"] == []
+        assert summary["totals"]["violations"] == 0
+        assert set(cell["outcomes"]) == {"RECOVERED"}
+        assert campaign_problems(summary) == []
 
     def test_nested_schedule_per_recovery_site(self, smoke):
         summary, _, _ = smoke
-        entry = summary["schemes"]["ccnvm"]
-        assert set(entry["nested"]) == set(RECOVERY_SITES)
-        for site, runs in entry["nested"].items():
+        cell = summary["grid"]["ccnvm"]["hotset"]
+        assert set(cell["nested"]) == set(RECOVERY_SITES)
+        for site, runs in cell["nested"].items():
             assert [r["depth"] for r in runs] == [1, 2]
             for r in runs:
                 assert len(r["fired_sites"]) == r["depth"]
                 assert r["problems"] == []
-        assert entry["nested_ok"]
+        assert cell["nested_ok"]
+        assert summary["totals"]["nested_runs"] == 2 * len(RECOVERY_SITES)
+        assert summary["totals"]["nested_problems"] == 0
+        assert summary["config"]["nested_depth"] == 2
 
     def test_warm_rerun_is_fully_cached_and_identical(self, smoke):
         summary, report, root = smoke
-        assert report.executed == len(explore_specs(SMOKE))
-        warm_summary, warm_report = run_explore(SMOKE, cache_root=root)
+        assert report.executed == len(campaign_specs(SMOKE))
+        warm_summary, warm_report = run_campaign(SMOKE, cache_root=root)
         assert warm_report.executed == 0
-        assert warm_report.cache_hits == len(explore_specs(SMOKE))
-        assert crash_summary_to_json(warm_summary) == crash_summary_to_json(summary)
+        assert warm_report.cache_hits == len(campaign_specs(SMOKE))
+        assert campaign_summary_to_json(warm_summary) == campaign_summary_to_json(
+            summary
+        )
 
     @pytest.mark.slow
     def test_serial_and_pooled_summaries_byte_identical(self, smoke, tmp_path):
         summary, _, _ = smoke
-        pooled, report = run_explore(SMOKE, jobs=2, cache_root=tmp_path)
-        assert report.executed == len(explore_specs(SMOKE))
-        assert crash_summary_to_json(pooled) == crash_summary_to_json(summary)
+        pooled, report = run_campaign(SMOKE, jobs=2, cache_root=tmp_path)
+        assert report.executed == len(campaign_specs(SMOKE))
+        assert campaign_summary_to_json(pooled) == campaign_summary_to_json(summary)
 
 
 class TestTornBatchDetection:
@@ -70,24 +83,28 @@ class TestTornBatchDetection:
 
     @pytest.fixture(scope="class")
     def torn(self, tmp_path_factory):
-        cfg = ExploreConfig(schemes=("ccnvm",), steps=48, torn_batches=True)
-        summary, _ = run_explore(
+        cfg = CrashCampaignConfig(
+            schemes=("ccnvm",), profiles=("hotset",), steps=48, torn_batches=True
+        )
+        summary, _ = run_campaign(
             cfg, cache_root=tmp_path_factory.mktemp("torn-cache")
         )
         return summary
 
     def test_violations_found_and_minimized(self, torn):
-        entry = torn["schemes"]["ccnvm"]
-        assert entry["violations"], "torn batches must violate the contract"
-        minimized = [v for v in entry["violations"] if "reproducer" in v]
+        cell = torn["grid"]["ccnvm"]["hotset"]
+        assert cell["violations"], "torn batches must violate the contract"
+        assert torn["config"]["torn_batches"] is True
+        assert "violation(s)" in " ".join(campaign_problems(torn))
+        minimized = [v for v in cell["violations"] if "reproducer" in v]
         assert minimized
         for violation in minimized:
             assert violation["torn"] is not None
             assert len(violation["reproducer"]["ops"]) <= 10
 
     def test_minimized_reproducer_replays(self, torn):
-        entry = torn["schemes"]["ccnvm"]
-        violation = next(v for v in entry["violations"] if "reproducer" in v)
+        cell = torn["grid"]["ccnvm"]["hotset"]
+        violation = next(v for v in cell["violations"] if "reproducer" in v)
         artifact = reproducer_from_json(
             json.dumps(violation["reproducer"])
         )

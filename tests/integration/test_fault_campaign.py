@@ -102,7 +102,6 @@ class TestConfigKnobs:
             schemes=("ccnvm",),
             sites=("writeback.after_data", "recovery.mid_rebuild"),
             steps=32,
-            media=False,
         )
         result = run_campaign(cfg)
         assert result.passed
@@ -111,6 +110,20 @@ class TestConfigKnobs:
     def test_summary_mentions_pass(self):
         cfg = CampaignConfig(
             schemes=("sc",), sites=("writeback.before_data",),
-            steps=32, media=False,
+            steps=32,
         )
         assert "PASS" in run_campaign(cfg).summary()
+
+    def test_unreachable_site_is_rejected(self):
+        """A sweep that would inject nothing must not pass: a site no
+        selected scheme can reach is an error, named in the message."""
+        cfg = CampaignConfig(schemes=("no_cc",), sites=("wpq.before_end",))
+        with pytest.raises(ValueError, match="wpq.before_end"):
+            run_campaign(cfg)
+        # Reachable by one of the selected schemes is enough.
+        both = CampaignConfig(
+            schemes=("no_cc", "ccnvm"), sites=("wpq.before_end",), steps=32
+        )
+        result = run_campaign(both)
+        assert result.passed
+        assert [r.scheme for r in result.injections] == ["ccnvm"]

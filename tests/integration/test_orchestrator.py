@@ -127,10 +127,16 @@ class TestCampaignOrchestration:
     def test_campaign_cache_replays(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CCNVM_CACHE_DIR", str(tmp_path / "cache"))
         cfg = CampaignConfig(
-            schemes=("ccnvm",), sites=("wpq.before_end",), steps=48, media=False
+            schemes=("ccnvm", "sc"), sites=("wpq.before_end",), steps=48
         )
         cold = run_campaign(cfg, cache=True)
-        warm = run_campaign(cfg, cache=True)
+        sources = []
+        warm = run_campaign(
+            cfg, cache=True,
+            progress=lambda outcome, done, total: sources.append(outcome.source),
+        )
         assert cold.to_dict() == warm.to_dict()
+        # One crash cell per scheme, each replayed whole from the cache.
+        assert sources == ["cache"] * len(cfg.schemes)
         stats = ResultCache(tmp_path / "cache").cumulative
-        assert stats["hits"] >= 2  # discover + injection replayed
+        assert stats["hits"] == len(cfg.schemes)

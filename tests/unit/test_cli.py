@@ -59,17 +59,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["crash"])
 
-    def test_crash_explore_defaults(self):
-        args = build_parser().parse_args(["crash", "explore"])
-        assert args.schemes == ["ccnvm"]
+    def test_crash_campaign_defaults(self):
+        args = build_parser().parse_args(["crash", "campaign"])
+        assert args.schemes is None and args.profiles is None
         assert args.steps is None and args.shards is None
-        assert args.window == 4 and args.budget == 16 and args.seed == 7
-        assert not args.torn_batches and args.nested_depth == 2
+        assert args.window == 4 and args.seed == 7 and args.spot == 1
+        assert not args.torn_batches and args.nested_depth == 0
         assert args.jobs == 1 and not args.no_cache
-
-    def test_crash_explore_validates_scheme(self):
+        args = build_parser().parse_args(
+            ["crash", "campaign", "--nested-depth", "2", "--torn-batches"]
+        )
+        assert args.nested_depth == 2 and args.torn_batches
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["crash", "explore", "--schemes", "magic"])
+            build_parser().parse_args(["crash", "campaign", "--nested-depth", "3"])
+        # The explorer's one-shot command is folded into the campaign.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["crash", "explore"])
+
+    def test_crash_campaign_validates_scheme(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["crash", "campaign", "--schemes", "magic"])
 
     def test_crash_replay_and_minimize_take_a_file(self):
         args = build_parser().parse_args(["crash", "replay", "r.json"])
@@ -239,22 +248,35 @@ class TestCommands:
         assert "failure reproduced" in out
         assert "outcome FAILED" in out
 
-    def test_crash_explore_smoke(self, capsys, monkeypatch, tmp_path):
+    def test_crash_campaign_smoke(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # the cache lands here
         assert main([
-            "crash", "explore", "--schemes", "ccnvm",
-            "--steps", "24", "--quiet",
-            "--export", "crash.json", "--reproducers", "repros",
+            "crash", "campaign", "--schemes", "ccnvm", "--profiles", "hotset",
+            "--steps", "24", "--nested-depth", "2", "--quiet",
+            "--json", "crash.json", "--reproducers", "repros",
         ]) == 0
         out = capsys.readouterr().out
-        assert "0 violation(s)" in out and "nested ok" in out
+        assert "0 violation(s)" in out and "(0 failed)" in out
+        assert "campaign ok" in out
         import json
 
         summary = json.loads((tmp_path / "crash.json").read_text())
-        assert summary["total_violations"] == 0
-        assert "ccnvm" in summary["schemes"]
+        assert summary["totals"]["violations"] == 0
+        assert summary["grid"]["ccnvm"]["hotset"]["nested_ok"]
         # No violations -> the reproducer directory exists but is empty.
         assert list((tmp_path / "repros").iterdir()) == []
+
+    def test_empty_crash_campaign_fails(self, capsys):
+        assert main(["crash", "campaign", "--shards", "0", "--no-cache"]) != 0
+        assert "shards must be at least 1" in capsys.readouterr().err
+
+    def test_faults_run_that_injects_nothing_fails(self, capsys):
+        assert main([
+            "faults", "run", "--schemes", "no_cc", "--sites", "wpq.before_end",
+            "--no-cache", "--quiet",
+        ]) != 0
+        err = capsys.readouterr().err
+        assert "wpq.before_end" in err and "no_cc" in err
 
     def test_faults_run_restricted(self, capsys, tmp_path):
         assert main([

@@ -196,3 +196,21 @@ class TestCampaignConfig:
     def test_default_schemes_resolve_to_all_six(self):
         cfg = ace_campaign_config(1)
         assert len(cfg.resolved_schemes()) == 6
+
+    def test_k2_summary_digest(self):
+        """The ACE k=2 campaign on ccnvm and sc, pinned by the sha256 of
+        its summary document (recorded before the crash drivers merged):
+        grid, class tables, totals and config keys must not move."""
+        import hashlib
+
+        from repro.analysis.export import campaign_summary_to_json
+        from repro.crashsim import run_campaign
+
+        summary, _ = run_campaign(
+            ace_campaign_config(2, schemes=("ccnvm", "sc")), cache=False
+        )
+        assert summary["totals"]["violations"] == 0
+        document = campaign_summary_to_json(summary)
+        assert hashlib.sha256(document.encode()).hexdigest() == (
+            "06d166e8a8378ffc156d8d58d6df814d6a87983b6cd704a776b1236aa24be137"
+        )
