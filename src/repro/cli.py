@@ -14,23 +14,18 @@ Commands:
   scheme x workload grid cell, judged through the equivalence-class
   reducer with exhaustive-coverage gates (``--nested-depth`` adds
   crash-during-recovery schedules, ``--torn-batches`` protocol-violating
-  states); ``crash replay`` / ``crash minimize`` — re-run and
-  delta-debug the replayable reproducer artifacts the campaign emits
-  for violations;
-* ``traffic ace`` — bounded exhaustive workload enumeration
+  states); ``crash ace`` — bounded exhaustive workload enumeration
   (k writes x address-overlap patterns x fence placements, canonical-form
   deduped) with ``--campaign`` running the whole set as a crash
-  campaign; ``traffic ingest`` — validate/normalize an external trace
-  (CSV/JSONL/Lackey) into the content-addressed trace store; ``traffic
-  interleave`` — merge N tenant streams over one memory system with
-  per-tenant attribution; ``traffic catalog`` — descriptor schema, ace
-  bounds and stored traces;
+  campaign; ``crash replay`` / ``crash minimize`` — re-run and
+  delta-debug the replayable reproducer artifacts the campaign emits
+  for violations;
 * ``lint`` — the persistence-domain static analyzer (persist-order
   rules P0-P5, crash-site coverage, scheme contract);
 * ``runs status`` / ``runs gc`` — inspect and prune the content-addressed
   result cache the orchestrated commands share.
 
-``evaluate``, ``sweep``, ``faults run``, ``crash campaign`` and ``traffic
+``evaluate``, ``sweep``, ``faults run``, ``crash campaign`` and ``crash
 ace --campaign`` all submit through the run orchestrator: ``--jobs N``
 fans the grid out over N worker processes,
 results are reused from ``.repro-cache/`` when the simulator sources are
@@ -92,7 +87,7 @@ def _progress_printer(args: argparse.Namespace):
 
 def _run_kwargs(args: argparse.Namespace) -> dict:
     """Orchestration knobs shared by evaluate, sweep, faults run, crash
-    campaign and the traffic commands."""
+    campaign and crash ace."""
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
@@ -575,14 +570,22 @@ def cmd_crash_minimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_traffic_ace(args: argparse.Namespace) -> int:
-    from repro.trafficgen.ace import (
+def cmd_crash_ace(args: argparse.Namespace) -> int:
+    from repro.crashsim.ace import (
         ace_campaign_config,
         enumeration_stats,
         enumerate_ace,
     )
 
-    stats = enumeration_stats(args.k)
+    try:
+        stats = enumeration_stats(args.k)
+        cfg = ace_campaign_config(
+            args.k, schemes=tuple(args.schemes or ()), seed=args.seed,
+            spot=args.spot,
+        )
+    except ValueError as exc:
+        print(f"crash ace: {exc}", file=sys.stderr)
+        return 2
     print(f"ace enumeration @ k={args.k}: "
           f"{stats['canonical_workloads']} canonical workload(s) "
           f"({stats['overlap_classes']} overlap classes x "
@@ -595,10 +598,6 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         return 0
     from repro.crashsim import campaign_problems, run_campaign
 
-    cfg = ace_campaign_config(
-        args.k, schemes=tuple(args.schemes or ()), seed=args.seed,
-        spot=args.spot,
-    )
     schemes = cfg.resolved_schemes()
     print(f"ace crash campaign: {len(schemes)} scheme(s) x "
           f"{len(cfg.profiles)} workload(s), seed {cfg.seed} "
@@ -612,131 +611,6 @@ def cmd_traffic_ace(args: argparse.Namespace) -> int:
         return 1
     print(f"ace campaign ok: every bounded workload recovered on every "
           f"scheme ({stats['dedup_ratio']}x canonical-form dedup)")
-    return 0
-
-
-def _traffic_bench(args: argparse.Namespace, descriptors: list) -> int:
-    """Shared --run/--json tail of ingest and interleave."""
-    from repro.analysis.traffic import traffic_document, traffic_document_to_json
-
-    if not args.run:
-        return 0
-    document, report = traffic_document(
-        descriptors, schemes=tuple(args.schemes), length=args.length,
-        seed=args.seed, **_run_kwargs(args),
-    )
-    print()
-    for label in sorted(document["results"]):
-        for scheme, row in document["results"][label].items():
-            print(f"  {label:28s} {scheme:14s} ipc={row['ipc']:.3f} "
-                  f"nvm_writes={row['nvm_writes']}")
-    print(f"orchestration: {report.summary()}")
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(traffic_document_to_json(document))
-        print(f"wrote traffic bench document to {args.json}")
-    return 0
-
-
-def cmd_traffic_ingest(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.trafficgen.ingest import STORE_ENV, TraceFormatError, TraceStore
-
-    store = TraceStore(args.store)
-    if args.store:
-        # Pool workers resolve trace digests through the environment;
-        # an explicit --store must reach them too.
-        os.environ[STORE_ENV] = str(store.root)
-    try:
-        descriptor = store.ingest(
-            args.file, fmt=args.format, name=args.name,
-            footprint=args.footprint, base=0,
-        )
-    except TraceFormatError as exc:
-        print(f"trace rejected: {exc}", file=sys.stderr)
-        return 1
-    print(f"ingested {args.file} ({args.format}): "
-          f"{descriptor['records']} reference(s) -> "
-          f"{store.trace_path(descriptor['digest'])}")
-    return _traffic_bench(args, [descriptor])
-
-
-def _parse_tenant(text: str) -> dict:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise SystemExit(
-            f"bad --tenant {text!r} (want name:profile[:weight])"
-        )
-    tenant = {"name": parts[0], "profile": parts[1]}
-    if len(parts) == 3:
-        try:
-            tenant["weight"] = float(parts[2])
-        except ValueError:
-            raise SystemExit(f"bad --tenant weight in {text!r}") from None
-    return tenant
-
-
-def cmd_traffic_interleave(args: argparse.Namespace) -> int:
-    from repro.trafficgen.descriptor import (
-        descriptor_label,
-        interleave_descriptor,
-    )
-    from repro.trafficgen.interleave import interleave_attribution
-
-    try:
-        descriptor = interleave_descriptor(
-            [_parse_tenant(t) for t in args.tenant],
-            policy=args.policy, burst=args.burst,
-        )
-    except ValueError as exc:
-        print(f"bad interleave: {exc}", file=sys.stderr)
-        return 1
-    attribution = interleave_attribution(descriptor, args.length, args.seed)
-    print(f"interleave {descriptor_label(descriptor)}: "
-          f"{len(descriptor['tenants'])} tenant(s), policy {args.policy}")
-    for name, row in attribution["tenants"].items():
-        low, high = row["range"]
-        print(f"  {name:12s} weight={row['weight']:<5g} "
-              f"share={row['share']:<7g} refs={row['references']:<7d} "
-              f"writes={row['writes']:<6d} lines={row['distinct_lines']:<6d} "
-              f"range=[{low:#x},{high:#x})")
-    return _traffic_bench(args, [descriptor])
-
-
-def cmd_traffic_catalog(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.trafficgen.ace import MAX_K, enumeration_stats
-    from repro.trafficgen.descriptor import DESCRIPTOR_KINDS, SCHEMA_VERSION
-    from repro.trafficgen.ingest import TraceStore
-
-    store = TraceStore(args.store)
-    entries = store.catalog()
-    if args.json:
-        print(json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "descriptor_kinds": list(DESCRIPTOR_KINDS),
-                "ace": [enumeration_stats(k) for k in range(1, MAX_K + 1)],
-                "store": {"root": str(store.root), "traces": entries},
-            },
-            indent=2, sort_keys=True,
-        ))
-        return 0
-    print(f"workload descriptor schema v{SCHEMA_VERSION}; "
-          f"kinds: {', '.join(DESCRIPTOR_KINDS)}")
-    print("\nace enumeration bounds:")
-    print(f"  {'k':>2} {'raw':>10} {'canonical':>10} {'dedup':>7}")
-    for k in range(1, MAX_K + 1):
-        stats = enumeration_stats(k)
-        print(f"  {k:>2} {stats['raw_workloads']:>10} "
-              f"{stats['canonical_workloads']:>10} "
-              f"{stats['dedup_ratio']:>6}x")
-    print(f"\ntrace store at {store.root}: {len(entries)} trace(s)")
-    for meta in entries:
-        print(f"  {meta['digest'][:12]}  {meta['name']:24s} "
-              f"{meta['records']:>9d} refs  ({meta['source']})")
     return 0
 
 
@@ -1037,6 +911,27 @@ def build_parser() -> argparse.ArgumentParser:
     cminimize.add_argument("--out", metavar="FILE", default=None,
                            help="write the minimized artifact (default stdout)")
     cminimize.set_defaults(func=cmd_crash_minimize)
+    cace = csub.add_parser(
+        "ace",
+        help="bounded exhaustive workload enumeration for the crash campaign",
+    )
+    cace.add_argument("--k", type=int, default=3,
+                      help="writes per workload (default 3)")
+    cace.add_argument("--list", action="store_true",
+                      help="print every canonical workload profile name")
+    cace.add_argument("--campaign", action="store_true",
+                      help="run the full enumeration as a crash campaign "
+                           "with exhaustive-coverage gates")
+    cace.add_argument("--schemes", nargs="+", metavar="S", default=None,
+                      choices=sorted(SCHEMES),
+                      help="restrict the campaign (default: all schemes)")
+    cace.add_argument("--seed", type=int, default=7)
+    cace.add_argument("--spot", type=int, default=1,
+                      help="witness spot checks per passing class")
+    cace.add_argument("--json", metavar="FILE", default=None,
+                      help="write the campaign summary document to FILE")
+    add_run_options(cace)
+    cace.set_defaults(func=cmd_crash_ace)
 
     runs = sub.add_parser("runs", help="inspect/prune the run result cache")
     rsub = runs.add_subparsers(dest="runs_command", required=True)
@@ -1060,90 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evict oldest entries (stale generations first) "
                           "until the store fits in B bytes")
     rgc.set_defaults(func=cmd_runs_gc)
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="the workload frontier: ace enumeration, trace ingestion, "
-             "multi-tenant interleaving",
-    )
-    tsub = traffic.add_subparsers(dest="traffic_command", required=True)
-
-    def add_bench_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--run", action="store_true",
-                       help="run the workload on --schemes and print the "
-                            "traffic bench results")
-        p.add_argument("--schemes", nargs="+", metavar="S",
-                       choices=sorted(SCHEMES),
-                       default=["no_cc", "sc", "osiris_plus", "ccnvm_no_ds",
-                                "ccnvm"],
-                       help="designs for --run (default: the Figure-5 five)")
-        p.add_argument("--length", type=int, default=20000,
-                       help="references per run (default 20000)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the traffic bench document to FILE")
-        add_run_options(p)
-
-    tace = tsub.add_parser(
-        "ace",
-        help="bounded exhaustive workload enumeration for the crash campaign",
-    )
-    tace.add_argument("--k", type=int, default=3,
-                      help="writes per workload (default 3)")
-    tace.add_argument("--list", action="store_true",
-                      help="print every canonical workload profile name")
-    tace.add_argument("--campaign", action="store_true",
-                      help="run the full enumeration as a crash campaign "
-                           "with exhaustive-coverage gates")
-    tace.add_argument("--schemes", nargs="+", metavar="S", default=None,
-                      choices=sorted(SCHEMES),
-                      help="restrict the campaign (default: all schemes)")
-    tace.add_argument("--seed", type=int, default=7)
-    tace.add_argument("--spot", type=int, default=1,
-                      help="witness spot checks per passing class")
-    tace.add_argument("--json", metavar="FILE", default=None,
-                      help="write the campaign summary document to FILE")
-    add_run_options(tace)
-    tace.set_defaults(func=cmd_traffic_ace)
-
-    tingest = tsub.add_parser(
-        "ingest", help="validate + normalize an external trace into the store"
-    )
-    tingest.add_argument("file", help="trace file (CSV/JSONL/Lackey)")
-    tingest.add_argument("--format", choices=["csv", "jsonl", "lackey"],
-                         default="csv")
-    tingest.add_argument("--name", default=None,
-                         help="workload name (default: the file stem)")
-    tingest.add_argument("--store", default=None, metavar="DIR",
-                         help="trace store root (default .repro-traffic or "
-                              "$CCNVM_TRAFFIC_STORE)")
-    tingest.add_argument("--footprint", type=int, default=16 << 20,
-                         help="footprint addresses are folded into "
-                              "(default 16 MiB)")
-    add_bench_options(tingest)
-    tingest.set_defaults(func=cmd_traffic_ingest)
-
-    tinterleave = tsub.add_parser(
-        "interleave", help="merge N tenant streams over one memory system"
-    )
-    tinterleave.add_argument("--tenant", action="append", required=True,
-                             metavar="NAME:PROFILE[:WEIGHT]",
-                             help="one tenant (repeat; at least 2)")
-    tinterleave.add_argument("--policy",
-                             choices=["round_robin", "weighted", "bursty"],
-                             default="round_robin")
-    tinterleave.add_argument("--burst", type=int, default=8,
-                             help="max burst length for --policy bursty")
-    add_bench_options(tinterleave)
-    tinterleave.set_defaults(func=cmd_traffic_interleave)
-
-    tcatalog = tsub.add_parser(
-        "catalog", help="descriptor schema, ace bounds and stored traces"
-    )
-    tcatalog.add_argument("--store", default=None, metavar="DIR")
-    tcatalog.add_argument("--json", action="store_true",
-                          help="emit the machine-readable catalog")
-    tcatalog.set_defaults(func=cmd_traffic_catalog)
 
     lint = sub.add_parser("lint", help="persistence-domain static analysis")
     lint.add_argument("--root", default=None, metavar="DIR",

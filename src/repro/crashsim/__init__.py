@@ -21,9 +21,14 @@ micro-steps; this package turns the recovery oracle into a *falsifier*:
    experiment — enumerate shards, nested crash-during-recovery
    schedules and the fault campaign's named-site sweep — is a ``crash``
    cell fanned out through the run orchestrator (cached, journaled,
-   parallel); :func:`run_campaign` runs the scheme x workload grid.
+   parallel); :func:`run_campaign` runs the scheme x workload grid;
+7. :mod:`~repro.crashsim.ace` enumerates every bounded k-write workload
+   (address-overlap pattern x fence placement, canonical-form deduped)
+   as campaign profiles — :func:`ace_campaign_config` is the grid
+   ``repro crash ace --campaign`` runs.
 """
 
+from repro.crashsim.ace import ace_campaign_config, enumerate_ace
 from repro.crashsim.enumerate import (
     CrashEnumerator,
     CrashState,
@@ -84,10 +89,12 @@ __all__ = [
     "Reproducer",
     "TraceUnit",
     "Verdict",
+    "ace_campaign_config",
     "applied_ops",
     "build_state",
     "campaign_problems",
     "campaign_specs",
+    "enumerate_ace",
     "from_state",
     "minimize",
     "rebuild_trace",

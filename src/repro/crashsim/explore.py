@@ -263,6 +263,22 @@ class CrashCampaignConfig:
             raise ValueError(
                 f"nested_depth must be 0, 1 or 2, got {self.nested_depth}"
             )
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
+        if self.spot < 0:
+            raise ValueError(f"spot must be >= 0, got {self.spot}")
+        from repro.crashsim.ace import is_ace_profile, parse_profile
+        from repro.crashsim.workload import workload_profiles
+
+        known = workload_profiles()
+        for profile in self.profiles:
+            if is_ace_profile(profile):
+                parse_profile(profile)
+            elif profile not in known:
+                raise ValueError(
+                    f"unknown profile {profile!r}; choose from {known} or "
+                    "ace-k<k>-<rgs>-<fences>"
+                )
 
     def resolved_schemes(self) -> tuple[str, ...]:
         from repro.crashsim.oracle import ALLOWED_OUTCOMES

@@ -7,6 +7,8 @@ Figure-5 profiles replay the write-back stream of one SPEC CPU2006 surrogate
 (:mod:`repro.workloads.spec`), folded onto a small page range so the
 crash campaign exercises each benchmark's metadata-locality shape —
 streaming wraps, strides, hot-set skew — rather than the hot-set's.
+The ``ace-k<k>-<rgs>-<fences>`` profiles replay one bounded workload of
+the ACE enumeration (:mod:`repro.crashsim.ace`) each.
 
 Every workload runs under an attached
 :class:`~repro.crashsim.trace.PersistTraceRecorder`, annotating each
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.crashsim.ace import is_ace_profile, parse_profile
 from repro.crashsim.trace import PersistTraceRecorder
 
 PAGES = (0x2000, 0x3000)
@@ -102,13 +105,11 @@ def record_workload(scheme, steps: int, seed: int, profile: str = HOTSET):
     folded write-back stream directly.
 
     ``ace-k<k>-<rgs>-<fences>`` profiles (see
-    :mod:`repro.trafficgen.ace`) replay their canonical k-write stream
+    :mod:`repro.crashsim.ace`) replay their canonical k-write stream
     with a full epoch drain (``scheme.flush()``) after every fenced
     write; *steps* is ignored — the enumerated workload's own length is
     the whole point.
     """
-    from repro.trafficgen.ace import is_ace_profile, parse_profile
-
     recorder = PersistTraceRecorder(scheme, seed=seed)
     recorder.attach()
     now = 0

@@ -73,13 +73,9 @@ DEFAULT_DETERMINISTIC_ENTRIES = (
     "runs/pool.py::_execute_",
     "crashsim/enumerate.py::CrashState.image_hash",
     "crashsim/enumerate.py::canonical_value",
-    # The workload frontier: descriptors are folded into spec hashes and
-    # traces are content-addressed, so every generator path must be
-    # seeded-Random-only and serialize with sorted keys.
-    "trafficgen/descriptor.py::",
-    "trafficgen/ace.py::",
-    "trafficgen/ingest.py::",
-    "trafficgen/interleave.py::",
+    # ACE profile names are spec params, so the enumeration that
+    # generates them must be replayable.
+    "crashsim/ace.py::",
 )
 
 #: Consumers that are insensitive to iteration order: a generator over

@@ -4,7 +4,9 @@ The acceptance surface: a scheme x workload grid of reduce-mode cells
 completes with exhaustive coverage (zero sampling fallbacks), a real
 class-level saving, no violations and no class mismatches; the summary
 is byte-identical across serial, pooled and warm-cache runs; and a
-failing shard is isolated instead of poisoning the rest of the grid.
+failing shard is isolated instead of poisoning the rest of the grid;
+and the ACE k=3 enumeration runs exhaustively on all six schemes with
+zero violations.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from repro.crashsim import (
     campaign_specs,
     run_campaign,
 )
+from repro.crashsim.ace import ace_campaign_config, dedup_ratio
 
 SMOKE = CrashCampaignConfig(
     schemes=("ccnvm", "sc"),
@@ -171,7 +174,19 @@ class TestDefaults:
         }
 
     @pytest.mark.parametrize(
-        "knobs", [{"shards": 0}, {"shards": -1}, {"nested_depth": -1}, {"nested_depth": 3}]
+        "knobs",
+        [
+            {"shards": 0},
+            {"shards": -1},
+            {"nested_depth": -1},
+            {"nested_depth": 3},
+            {"window": -1},
+            {"spot": -1},
+            {"profiles": ("nosuch",)},
+            {"profiles": ("hotset", "ace-k2-00-2")},
+            {"profiles": ("ace-k2-11-00",)},
+            {"profiles": ("ace-k9-000000000-000000000",)},
+        ],
     )
     def test_invalid_shape_is_rejected(self, knobs):
         with pytest.raises(ValueError):
@@ -195,3 +210,24 @@ class TestGate:
         assert summary["totals"]["cells"] == 0
         problems = campaign_problems(summary)
         assert "no grid cells ran" in problems
+
+
+class TestAceCampaign:
+    def test_k3_exhaustive_on_all_six_schemes_zero_violations(
+        self, tmp_path
+    ):
+        """The standing-campaign gate the CLI (`repro crash ace
+        --campaign`) and CI enforce, at the acceptance bar: every
+        canonical 3-write workload on every scheme, exhaustively
+        enumerated, zero violations."""
+        summary, report = run_campaign(
+            ace_campaign_config(3), cache_root=tmp_path / "cache"
+        )
+        report.raise_on_failure()
+        totals = summary["totals"]
+        assert summary["failures"] == []
+        assert totals["cells"] == 40 * 6  # Bell(3)*2^3 profiles x schemes
+        assert totals["violations"] == 0
+        assert totals["class_mismatches"] == 0
+        assert totals["sampling_fallbacks"] == 0
+        assert dedup_ratio(3) >= 5

@@ -43,7 +43,7 @@ class TestParser:
             build_parser().parse_args(["faults", "run", "--smoke"])
 
     def test_retired_commands_are_gone(self):
-        for command in ("serve", "client", "chaos"):
+        for command in ("serve", "client", "chaos", "traffic"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command])
 
@@ -269,6 +269,18 @@ class TestCommands:
     def test_empty_crash_campaign_fails(self, capsys):
         assert main(["crash", "campaign", "--shards", "0", "--no-cache"]) != 0
         assert "shards must be at least 1" in capsys.readouterr().err
+
+    def test_crash_ace_smoke(self, capsys):
+        assert main(["crash", "ace", "--k", "2", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "ace enumeration @ k=2: 8 canonical workload(s)" in out
+        assert "ace-k2-01-11" in out
+
+    @pytest.mark.parametrize("k", ["0", "9"])
+    def test_crash_ace_rejects_k_out_of_range(self, capsys, k):
+        assert main(["crash", "ace", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ace k must be in 1..6" in err
 
     def test_faults_run_that_injects_nothing_fails(self, capsys):
         assert main([

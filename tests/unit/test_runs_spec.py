@@ -1,5 +1,7 @@
 """Unit tests for run specs: canonical hashing and sweep expansion."""
 
+import hashlib
+
 import pytest
 
 from repro.common.config import SystemConfig
@@ -67,6 +69,30 @@ class TestSpecHash:
     def test_describe_names_the_cell(self):
         label = simulation_spec("ccnvm", "lbm", 4000, 1).describe()
         assert "ccnvm" in label and "lbm@4000#1" in label
+
+    def test_figure5_spec_hashes_are_pinned(self, monkeypatch):
+        """The sha256 of every Figure 5 cell's spec hash (sorted), at a
+        short length: a change to how simulation specs hash would re-key
+        every cached Figure 5 result, so it must be deliberate."""
+        from repro.analysis import experiments
+
+        captured = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(_name, specs, **_kwargs):
+            captured.extend(specs)
+            raise Captured
+
+        monkeypatch.setattr(experiments, "orchestrate", capture)
+        with pytest.raises(Captured):
+            experiments.figure5_comparisons(length=200, seed=1)
+        assert len(captured) == 40
+        hashes = "\n".join(sorted(spec.spec_hash() for spec in captured))
+        assert hashlib.sha256(hashes.encode()).hexdigest() == (
+            "235c486aff0b73f4399f7755417c86eb1d98e71054673af77105463ce870e6a1"
+        )
 
 
 class TestConfigRoundTrip:
