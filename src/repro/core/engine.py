@@ -26,8 +26,11 @@ from repro.crypto.hmac_engine import HmacEngine
 from repro.mem.nvm import NVMDevice
 from repro.mem.wpq import WritePendingQueue
 from repro.metadata.counters import CounterLine
+from repro.metadata.genesis import GenesisImage
 from repro.metadata.layout import MemoryLayout
 from repro.metadata.metacache import IntegrityError
+
+_ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
 
 # The engine holds no state that survives a crash (keys live in the TCB,
@@ -61,6 +64,13 @@ class EncryptionEngine:
         self._writebacks = self._stats.counter("data_writebacks")
         self._fills = self._stats.counter("data_fills")
         self._reencryptions = self._stats.counter("page_reencryptions")
+        genesis = getattr(nvm.initializer, "__self__", None)
+        #: Never-written lines read as the genesis image of this engine's
+        #: own keys, so a never-written block under counter (0, 0) is the
+        #: encryption of zeros with a matching HMAC by construction.
+        self._pristine_is_genesis = isinstance(
+            genesis, GenesisImage
+        ) and genesis.keyed_with(cipher.key, hmac.key)
         #: Optional observability bus (see :mod:`repro.obs`): data-path
         #: crypto work (encrypt+HMAC writebacks, verified fills, page
         #: re-encryptions) is emitted as instants when set.
@@ -99,19 +109,32 @@ class EncryptionEngine:
 
     # -- fill path ----------------------------------------------------------------------
 
-    def read_data_block(
-        self, addr: int, counters: CounterLine, verify: bool = True
-    ) -> bytes:
-        """Fetch, decrypt and (optionally) authenticate one data block.
+    def read_data_block(self, addr: int, counters: CounterLine) -> bytes:
+        """Fetch, decrypt and authenticate one data block.
 
         Raises :class:`IntegrityError` when the stored data HMAC does not
         match the (data, address, counter) triple — runtime detection of
         spoofing and splicing.
+
+        A block under counter (0, 0) whose data and HMAC lines were never
+        stored, on a fault-free device whose untouched lines are this
+        engine's genesis image, reads as zeros without its PRF and HMAC:
+        the full path's inputs would be the genesis bytes, which verify
+        and decrypt to zeros by construction.  Reads and the HMAC check
+        are still counted, so statistics match the full path.
         """
         major, minor = counters.counter_pair(self.layout.block_slot(addr))
-        ciphertext = self._read_line(addr)
-        if verify:
-            hmac_line, offset = self.layout.data_hmac_location(addr)
+        hmac_line, offset = self.layout.data_hmac_location(addr)
+        if (
+            self._pristine_is_genesis
+            and major == 0
+            and minor == 0
+            and self.nvm.read_untouched(addr, hmac_line)
+        ):
+            self.hmac.count_data_hmac()
+            plaintext = _ZERO_LINE
+        else:
+            ciphertext = self._read_line(addr)
             stored = self._read_line(hmac_line)[offset:offset + HMAC_SIZE]
             computed = self.hmac.data_hmac(ciphertext, addr, major, minor)
             if not self.hmac.verify(bytes(stored), computed):
@@ -119,12 +142,13 @@ class EncryptionEngine:
                     f"data HMAC mismatch for block {addr:#x} "
                     f"(counter {major}.{minor})"
                 )
+            plaintext = self.cipher.decrypt(ciphertext, addr, major, minor)
         self._fills.inc()
         if self.obs is not None:
             self.obs.instant(
-                "engine.fill", "engine", {"addr": addr, "verified": verify}
+                "engine.fill", "engine", {"addr": addr, "verified": True}
             )
-        return self.cipher.decrypt(ciphertext, addr, major, minor)
+        return plaintext
 
     # -- split-counter overflow ------------------------------------------------------------
 

@@ -22,9 +22,35 @@ latency for the timing layer.
 
 from __future__ import annotations
 
-from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
+import functools
+
+from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE, MERKLE_ARITY
 from repro.common.stats import StatGroup
 from repro.crypto.prf import SecretKey, constant_time_equal, keyed_hash
+
+#: Tree levels, leaves included, of the largest possible device: a 64-bit
+#: address space holds 2**52 pages, one counter leaf each, and 4**26 = 2**52.
+GENESIS_LEVELS = 27
+
+
+@functools.lru_cache(maxsize=8)
+def _genesis_table(key: SecretKey) -> tuple[tuple[bytes, ...], dict[bytes, bytes]]:
+    """The genesis value of every tree level and the code of each, by value.
+
+    Level 0 is the all-zero counter line; each level above packs four
+    copies of the code of the level below.  Computed once per key and
+    shared by every engine holding that key, so building a system costs
+    no HMACs; callers must not modify the dict.
+    """
+    nodes: list[bytes] = []
+    codes: dict[bytes, bytes] = {}
+    node = bytes(CACHE_LINE_SIZE)
+    for _ in range(GENESIS_LEVELS):
+        code = keyed_hash(key, node)
+        nodes.append(node)
+        codes[node] = code
+        node = code * MERKLE_ARITY
+    return tuple(nodes), codes
 
 
 class HmacEngine:
@@ -39,11 +65,17 @@ class HmacEngine:
         self._counter_hmacs = self._stats.counter(
             "counter_hmacs", "counter HMAC (Merkle node) computations"
         )
+        self._genesis_nodes, self._genesis_codes = _genesis_table(key)
 
     @property
     def stats(self) -> StatGroup:
         """Statistics group with computation counts."""
         return self._stats
+
+    @property
+    def key(self) -> SecretKey:
+        """The HMAC key (TCB-internal)."""
+        return self._key
 
     @property
     def data_hmac_count(self) -> int:
@@ -74,6 +106,20 @@ class HmacEngine:
             minor.to_bytes(2, "little"),
         )
 
+    def genesis_node(self, level: int) -> bytes:
+        """The format-time value of every untouched tree node at *level*."""
+        return self._genesis_nodes[level]
+
+    def count_data_hmac(self) -> None:
+        """Count one data-HMAC check whose outcome is known by construction.
+
+        The encryption engine's never-written-block reads
+        (:meth:`~repro.core.engine.EncryptionEngine.read_data_block`) skip
+        the computation but still account it, so statistics match the
+        full path.
+        """
+        self._data_hmacs.inc()
+
     def counter_hmac(self, child_node: bytes) -> bytes:
         """128-bit HMAC of one child tree node (counter line or inner node).
 
@@ -84,12 +130,16 @@ class HmacEngine:
         splicing is separately caught by the address-keyed data HMACs.)
         Content-only keying also gives every tree level a uniform
         "genesis" value for untouched subtrees, which is what lets a full
-        16 GB device be modeled lazily.
+        16 GB device be modeled lazily — and makes the code of a genesis
+        node value a table lookup.
         """
         if len(child_node) != CACHE_LINE_SIZE:
             raise ValueError("counter HMAC covers exactly one tree node")
         self._counter_hmacs.inc()
-        return keyed_hash(self._key, child_node)
+        code = self._genesis_codes.get(child_node)
+        if code is None:
+            code = keyed_hash(self._key, child_node)
+        return code
 
     def verify(self, expected: bytes, actual: bytes) -> bool:
         """Constant-time comparison of two HMAC codewords."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator
 
-from repro.common.address import is_line_aligned
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
 
@@ -54,6 +53,9 @@ class Cache:
         self._sets: list[OrderedDict[int, CacheLine]] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
+        # The set count is a power of two (CacheConfig checks it).
+        self._set_mask = config.num_sets - 1
+        self._hashed_sets = config.hashed_sets
         self._stats = stats if stats is not None else StatGroup(config.name)
         self._hits = self._stats.counter("hits")
         self._misses = self._stats.counter("misses")
@@ -69,12 +71,12 @@ class Cache:
         return self._stats
 
     def _set_of(self, addr: int) -> OrderedDict[int, CacheLine]:
-        if not is_line_aligned(addr):
+        if addr & 63:
             raise ValueError(f"cache access not line-aligned: {addr:#x}")
         index = addr >> 6
-        if self.config.hashed_sets:
+        if self._hashed_sets:
             index ^= (index >> 8) ^ (index >> 16) ^ (index >> 24)
-        return self._sets[index % self.config.num_sets]
+        return self._sets[index & self._set_mask]
 
     # -- lookups ---------------------------------------------------------------
 

@@ -107,9 +107,10 @@ class NVMDevice:
     def _virgin(self, addr: int) -> bytes:
         return self._initializer(addr) if self._initializer is not None else _ZERO_LINE
 
-    def set_initializer(self, initializer) -> None:
-        """Install the ``addr -> bytes`` provider for never-written lines."""
-        self._initializer = initializer
+    @property
+    def initializer(self):
+        """The ``addr -> bytes`` provider of never-written lines, or ``None``."""
+        return self._initializer
 
     def set_media_model(self, media) -> None:
         """Install (or with ``None`` remove) a media-fault model.
@@ -143,6 +144,27 @@ class NVMDevice:
             if action == "silent":
                 return self._media.corrupt(addr, line)
         return line
+
+    def read_untouched(self, *addrs: int) -> bool:
+        """Account reads of never-written lines whose value the caller knows.
+
+        When a media model is armed, or any of *addrs* has been stored
+        (written, poked or restored), nothing is accounted and ``False``
+        is returned: the caller must read each line with
+        :meth:`read_line`.  Otherwise each line is counted as one read,
+        exactly as :meth:`read_line` counts it, and ``True`` is returned;
+        every line then holds its initializer value.
+        """
+        if self._media is not None:
+            return False
+        for addr in addrs:
+            self._check(addr)
+            if addr in self._lines:
+                return False
+        for addr in addrs:
+            self._read_total.inc()
+            self._reads.counter(self.layout.region_of(addr)).inc()
+        return True
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Write one 64 B line."""

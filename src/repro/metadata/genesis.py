@@ -26,11 +26,7 @@ image.
 
 from __future__ import annotations
 
-from repro.common.constants import (
-    CACHE_LINE_SIZE,
-    HMAC_SIZE,
-    MERKLE_ARITY,
-)
+from repro.common.constants import CACHE_LINE_SIZE, HMAC_SIZE
 from repro.crypto.cme import CounterModeCipher
 from repro.crypto.hmac_engine import HmacEngine
 from repro.crypto.prf import SecretKey
@@ -52,9 +48,11 @@ class GenesisImage:
         # A private engine so format-time work never pollutes runtime
         # HMAC-computation statistics.
         self._engine = HmacEngine(hmac_key)
-        self._level_nodes: dict[int, bytes] = {}
-        self._level_hmacs: dict[int, bytes] = {}
         self._hmac_lines: dict[int, bytes] = {}
+
+    def keyed_with(self, encryption_key: SecretKey, hmac_key: SecretKey) -> bool:
+        """True when this image was built under exactly these two keys."""
+        return self._cipher.key == encryption_key and self._engine.key == hmac_key
 
     # -- per-region values --------------------------------------------------------
 
@@ -92,21 +90,11 @@ class GenesisImage:
         only ever consults slots of children that exist (covered by the
         odd-geometry integration tests).
         """
-        if level == 0:
-            return zero_counter_line()
-        cached = self._level_nodes.get(level)
-        if cached is None:
-            cached = self.node_hmac(level - 1) * MERKLE_ARITY
-            self._level_nodes[level] = cached
-        return cached
+        return self._engine.genesis_node(level)
 
     def node_hmac(self, level: int) -> bytes:
         """HMAC of the pristine node value at *level*."""
-        cached = self._level_hmacs.get(level)
-        if cached is None:
-            cached = self._engine.counter_hmac(self.node(level))
-            self._level_hmacs[level] = cached
-        return cached
+        return self._engine.counter_hmac(self.node(level))
 
     def root_register(self) -> bytes:
         """Pristine value of the TCB root registers (the genesis root node)."""

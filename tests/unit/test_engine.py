@@ -79,15 +79,6 @@ class TestWriteReadRoundtrip:
         with pytest.raises(IntegrityError):
             engine.read_data_block(0, counters)
 
-    def test_verify_false_skips_authentication(self, engine):
-        counters = CounterLine()
-        counters.increment(0)
-        engine.write_data_block(0, PLAINTEXT, counters)
-        raw = engine.nvm.peek(0)
-        engine.nvm.poke(0, bytes([raw[0] ^ 1]) + raw[1:])
-        garbled = engine.read_data_block(0, counters, verify=False)
-        assert garbled != PLAINTEXT  # decrypts, differently
-
     def test_genesis_block_reads_as_zero(self, engine):
         assert engine.read_data_block(128, CounterLine()) == bytes(CACHE_LINE_SIZE)
 
