@@ -80,7 +80,6 @@ def figure5_comparisons(
         for scheme in FIGURE5_DESIGNS
     ]
     report = orchestrate(
-        "fig5",
         [spec for _, _, spec in grid],
         jobs=jobs,
         use_cache=cache,
@@ -182,7 +181,6 @@ def _sensitivity(
                     scheme, name, length, seed, config=config
                 )
     report = orchestrate(
-        f"fig6-{parameter}",
         list(grid.values()),
         jobs=jobs,
         use_cache=cache,
@@ -326,7 +324,6 @@ def deferred_spreading_ablation(
         for name in names
     }
     report = orchestrate(
-        "ablation-ds",
         list(grid.values()),
         jobs=jobs,
         use_cache=cache,

@@ -21,9 +21,9 @@ from repro.sim.runner import SimulationResult
 def result_to_dict(result: SimulationResult) -> dict:
     """Flatten a :class:`SimulationResult` into a JSON-able dict.
 
-    This is the serialization shared by the run cache, the run journal
-    and the ``BENCH_fig5.json`` artifact, so it must (and does) survive
-    an exact round-trip through :func:`result_from_dict`.
+    This is the serialization shared by the run cache and the
+    ``BENCH_fig5.json`` artifact, so it must (and does) survive an exact
+    round-trip through :func:`result_from_dict`.
     """
     return asdict(result)
 

@@ -29,8 +29,8 @@ Commands:
 ace --campaign`` all submit through the run orchestrator: ``--jobs N``
 fans the grid out over N worker processes,
 results are reused from ``.repro-cache/`` when the simulator sources are
-unchanged (``--no-cache`` forces re-execution), and interrupted sweeps
-resume from their journal.
+unchanged (``--no-cache`` forces re-execution), and a rerun of an
+interrupted sweep serves its completed specs from that cache.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "wall_seconds": report.wall_seconds,
             "executed": report.executed,
             "cache_hits": report.cache_hits,
-            "journal_hits": report.journal_hits,
         }
         with open(args.json, "w") as f:
             f.write(fig5_bench_to_json(comparisons, meta))
@@ -243,7 +242,6 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
           f"{args.length} refs (jobs={args.jobs}, "
           f"cache={'off' if args.no_cache else 'on'})")
     report = orchestrate(
-        "obs-timeline",
         specs,
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -635,8 +633,6 @@ def cmd_runs_status(args: argparse.Namespace) -> int:
     stats = status["stats"]
     print(f"  lifetime: {stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['stores']} stores over {stats['flushes']} sweep(s)")
-    if status["journals"]:
-        print(f"  journals: {', '.join(status['journals'])}")
     return 0
 
 
@@ -644,22 +640,8 @@ def cmd_runs_gc(args: argparse.Namespace) -> int:
     from repro.runs import ResultCache
 
     cache = ResultCache(args.root)
-    swept = cache.gc(
-        everything=args.all,
-        max_generations=args.max_generations,
-        max_bytes=args.max_bytes,
-    )
-    if args.all:
-        scope = "all generations"
-    elif args.max_generations is not None or args.max_bytes is not None:
-        knobs = []
-        if args.max_generations is not None:
-            knobs.append(f"max {args.max_generations} generation(s)")
-        if args.max_bytes is not None:
-            knobs.append(f"max {args.max_bytes} bytes")
-        scope = ", ".join(knobs)
-    else:
-        scope = "stale generations"
+    swept = cache.gc(everything=args.all)
+    scope = "all generations" if args.all else "stale generations"
     print(f"gc ({scope}): removed {swept['removed']} entr(y/ies), "
           f"kept {swept['kept']}, reclaimed {swept['reclaimed_bytes']} bytes")
     return 0
@@ -947,13 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cache directory (default .repro-cache or "
                           "$CCNVM_CACHE_DIR)")
     rgc.add_argument("--all", action="store_true",
-                     help="drop everything, journals and stats included")
-    rgc.add_argument("--max-generations", type=int, default=None, metavar="N",
-                     help="retain the current generation plus the N-1 newest "
-                          "stale ones instead of dropping every stale one")
-    rgc.add_argument("--max-bytes", type=int, default=None, metavar="B",
-                     help="evict oldest entries (stale generations first) "
-                          "until the store fits in B bytes")
+                     help="drop every generation, the current one and "
+                          "the stats included")
     rgc.set_defaults(func=cmd_runs_gc)
 
     lint = sub.add_parser("lint", help="persistence-domain static analysis")

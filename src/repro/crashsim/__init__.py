@@ -20,7 +20,7 @@ micro-steps; this package turns the recovery oracle into a *falsifier*:
 6. :mod:`~repro.crashsim.explore` is the one crash driver: every crash
    experiment — enumerate shards, nested crash-during-recovery
    schedules and the fault campaign's named-site sweep — is a ``crash``
-   cell fanned out through the run orchestrator (cached, journaled,
+   cell fanned out through the run orchestrator (cached, resumable,
    parallel); :func:`run_campaign` runs the scheme x workload grid;
 7. :mod:`~repro.crashsim.ace` enumerates every bounded k-write workload
    (address-overlap pattern x fence placement, canonical-form deduped)

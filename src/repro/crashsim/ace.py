@@ -24,7 +24,7 @@ self-describing crashsim profile string parsed by
 :func:`repro.crashsim.workload.record_workload` — and the whole set
 feeds the standing crash campaign
 (:func:`repro.crashsim.explore.run_campaign`) as an ordinary profile
-grid: content-cached, journaled, sharded, gated on zero violations.
+grid: content-cached, resumable, sharded, gated on zero violations.
 """
 
 from __future__ import annotations

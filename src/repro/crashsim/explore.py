@@ -21,10 +21,10 @@ cacheable unit, so it is cut into **cells**, each a
   media phase, all in one worker).
 
 Because cells run through :func:`repro.runs.orchestrate`, campaigns
-are content-cached (a warm re-run executes nothing), journaled,
-resumable and parallel.  The merged summary is deliberately free of
-timings and orchestration counts, so a serial run and a ``--jobs 2``
-run of the same campaign produce byte-identical JSON.
+are content-cached (a warm re-run executes nothing), resumable and
+parallel.  The merged summary is deliberately free of timings and
+orchestration counts, so a serial run and a ``--jobs 2`` run of the
+same campaign produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ class CrashCampaignConfig:
     Each grid cell runs the *reduced* enumerator (exhaustive drop-sets,
     class-representative verification), sharded per crash point through
     the orchestrator — so a campaign is content-cached by spec hash,
-    journal-resumable, and one failing shard never poisons the rest of
-    the grid.
+    resumable from that cache, and one failing shard never poisons the
+    rest of the grid.
     """
 
     schemes: tuple[str, ...] = ()
@@ -409,7 +409,6 @@ def run_campaign(
     cfg = cfg or CrashCampaignConfig()
     specs = campaign_specs(cfg)
     report = orchestrate(
-        "crash-campaign",
         specs,
         jobs=jobs,
         use_cache=cache,

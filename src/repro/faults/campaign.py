@@ -107,7 +107,7 @@ class InjectionResult:
 
     @staticmethod
     def from_dict(data: dict) -> "InjectionResult":
-        """Inverse of :meth:`to_dict` (used by the run cache/journal)."""
+        """Inverse of :meth:`to_dict` (used by the run cache)."""
         return InjectionResult(**data)
 
 
@@ -136,7 +136,7 @@ class MediaResult:
 
     @staticmethod
     def from_dict(data: dict) -> "MediaResult":
-        """Inverse of :meth:`to_dict` (used by the run cache/journal)."""
+        """Inverse of :meth:`to_dict` (used by the run cache)."""
         return MediaResult(**data)
 
 
@@ -509,7 +509,7 @@ def run_campaign(
         for s in cfg.schemes
     ]
     report = orchestrate(
-        "faults-campaign", specs, jobs=jobs, use_cache=cache,
+        specs, jobs=jobs, use_cache=cache,
         cache_root=cache_root, timeout=timeout, progress=progress,
     )
     report.raise_on_failure()

@@ -1,5 +1,5 @@
-"""Run orchestration: declarative specs, content-addressed caching,
-parallel execution and resumable journals.
+"""Run orchestration: declarative specs, content-addressed caching and
+parallel execution.
 
 The subsystem turns every experiment in the repo — a Figure 5 cell, a
 sensitivity point, a crash-campaign cell — into data (:class:`RunSpec`),
@@ -11,20 +11,16 @@ which makes three things cheap at once:
   sources addresses an on-disk result store (:class:`ResultCache`), so
   unchanged experiments are never executed twice, across processes and
   sessions;
-* **resumability** — completed specs land in a JSONL :class:`RunJournal`
-  as they finish, so an interrupted sweep continues where it stopped.
+* **resumability** — each completed spec lands in that cache as it
+  finishes, through one atomic rename, so a rerun of an interrupted
+  sweep finds every completed spec as a cache hit and executes only the
+  rest.  The cache is the only durable store: no journal beside it.
 
-:func:`run_specs` / :func:`orchestrate` chain the three together.
+:func:`run_specs` / :func:`orchestrate` chain the cache and the pool.
 """
 
 from repro.runs.cache import ResultCache, code_fingerprint, default_cache_root
-from repro.runs.journal import RunJournal
-from repro.runs.orchestrate import (
-    RunReport,
-    orchestrate,
-    run_specs,
-    sweep_journal_path,
-)
+from repro.runs.orchestrate import RunReport, orchestrate, run_specs
 from repro.runs.pool import RunOutcome, WorkerPool, execute_spec
 from repro.runs.spec import (
     RunSpec,
@@ -37,7 +33,6 @@ from repro.runs.spec import (
 
 __all__ = [
     "ResultCache",
-    "RunJournal",
     "RunOutcome",
     "RunReport",
     "RunSpec",
@@ -52,5 +47,4 @@ __all__ = [
     "orchestrate",
     "run_specs",
     "simulation_spec",
-    "sweep_journal_path",
 ]

@@ -7,11 +7,14 @@ result at once (no stale-figure hazards), while a rerun of an unchanged
 tree is served from disk without executing a single simulation.
 
 Entries are written crash-consistently — serialized to a temporary file
-in the same directory, then :func:`os.replace`'d into place — so a cache
-interrupted mid-``put`` never holds a torn JSON document.  This mirrors
-the write-ordering discipline the simulated system itself is built
-around, and the class declares its domains to the ``repro lint``
-analyzer like every other owner of crash-surviving state.
+in the same directory, fsynced, then :func:`os.replace`'d into place — so
+a cache interrupted mid-``put`` never holds a torn JSON document.  One
+atomic rename commits each result, with no log beside it: the cache is
+the orchestrator's only durable store, and an interrupted sweep resumes
+because its completed specs are cache hits.  This mirrors the
+write-ordering discipline the simulated system itself is built around,
+and the class declares its domains to the ``repro lint`` analyzer like
+every other owner of crash-surviving state.
 
 Cumulative hit/miss/store counters persist in ``stats.json`` (merged at
 :meth:`ResultCache.flush_stats`, typically once per orchestrated sweep),
@@ -122,10 +125,6 @@ class ResultCache:
     @property
     def results_dir(self) -> Path:
         return self.root / "results"
-
-    @property
-    def journal_dir(self) -> Path:
-        return self.root / "journal"
 
     @property
     def stats_path(self) -> Path:
@@ -240,11 +239,6 @@ class ResultCache:
                     "bytes": sum(p.stat().st_size for p in entries),
                     "current": gen_dir.name == self.fingerprint,
                 }
-        journals = (
-            sorted(p.name for p in self.journal_dir.glob("*.jsonl"))
-            if self.journal_dir.is_dir()
-            else []
-        )
         pending = {
             "hits": self.hits, "misses": self.misses, "stores": self.stores
         }
@@ -252,33 +246,19 @@ class ResultCache:
             "root": str(self.root),
             "fingerprint": self.fingerprint,
             "generations": generations,
-            "journals": journals,
             "stats": self._read_stats(),
             "session": pending,
         }
 
-    def gc(
-        self,
-        everything: bool = False,
-        max_generations: int | None = None,
-        max_bytes: int | None = None,
-    ) -> dict:
+    def gc(self, everything: bool = False) -> dict:
         """Prune the store; returns ``{removed, kept, reclaimed_bytes}``.
 
-        Without knobs this drops every stale-fingerprint generation (the
-        historical behaviour).  ``max_generations=N`` instead *retains* a
-        multi-generation cache: the current generation plus the N-1 most
-        recently written stale ones survive, older generations go.
-        ``max_bytes=B`` then evicts oldest-first — stale generations'
-        entries before current ones — until the store fits in B bytes.
-        Orphaned ``*.tmp`` files from crashed writers are always swept.
-
-        Journals are removed alongside the generations they belong to
-        only under *everything* (a stale journal is harmless — its
-        fingerprint header stops it from resuming the wrong code).
-        Reclaimed bytes accumulate in ``stats.json`` (``gc_runs`` /
-        ``gc_removed`` / ``gc_reclaimed_bytes``), which is what
-        ``repro runs status --json`` reports.
+        Drops every stale-fingerprint generation; *everything* drops the
+        current one and ``stats.json`` too.  Orphaned ``*.tmp`` files
+        from crashed writers are always swept.  Reclaimed bytes
+        accumulate in ``stats.json`` (``gc_runs`` / ``gc_removed`` /
+        ``gc_reclaimed_bytes``), which is what ``repro runs status
+        --json`` reports.
         """
         removed = kept = reclaimed = 0
 
@@ -301,29 +281,9 @@ class ResultCache:
                 _, size = unlink(tmp)
                 reclaimed += size
 
-        if everything:
-            doomed = set(d.name for d in gen_dirs)
-        elif max_generations is None and max_bytes is None:
-            doomed = {d.name for d in gen_dirs if d.name != self.fingerprint}
-        else:
-            # Multi-generation retention: keep the current generation
-            # plus the most recently touched stale ones, newest first.
-            stale = sorted(
-                (d for d in gen_dirs if d.name != self.fingerprint),
-                key=lambda d: d.stat().st_mtime,
-                reverse=True,
-            )
-            budget = (
-                len(stale)
-                if max_generations is None
-                else max(0, max_generations - 1)
-            )
-            doomed = {d.name for d in stale[budget:]}
-
-        survivors: list[Path] = []
         for gen_dir in gen_dirs:
             entries = list(gen_dir.glob("*.json"))
-            if gen_dir.name in doomed:
+            if everything or gen_dir.name != self.fingerprint:
                 for path in entries:
                     n, size = unlink(path)
                     removed += n
@@ -333,39 +293,9 @@ class ResultCache:
                 except OSError:
                     pass
             else:
-                survivors.extend(entries)
-
-        if max_bytes is not None and not everything:
-            sized = []
-            total = 0
-            for path in survivors:
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                current = path.parent.name == self.fingerprint
-                sized.append((current, stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
-            # Oldest stale entries first, oldest current entries last.
-            sized.sort(key=lambda item: (item[0], item[1]))
-            evicted = set()
-            for current, _mtime, size, path in sized:
-                if total <= max_bytes:
-                    break
-                n, got = unlink(path)
-                removed += n
-                reclaimed += got
-                total -= size
-                evicted.add(path)
-            survivors = [p for p in survivors if p not in evicted]
-
-        kept = len(survivors)
+                kept += len(entries)
 
         if everything:
-            if self.journal_dir.is_dir():
-                for path in self.journal_dir.glob("*.jsonl"):
-                    _, size = unlink(path)
-                    reclaimed += size
             try:
                 self.stats_path.unlink()
             except OSError:

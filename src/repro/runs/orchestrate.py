@@ -1,32 +1,28 @@
-"""The orchestrator: cache -> journal -> worker pool, in that order.
+"""The orchestrator: result cache, then the worker pool.
 
 :func:`run_specs` is the single entry point every experiment driver
-(Figure 5/6, the fault campaign, the benchmark harness) submits through.
+(Figure 5/6, the fault campaign, the crash campaigns) submits through.
 For each requested spec it consults, in order:
 
 1. the content-addressed **result cache** (same spec hash + same code
    fingerprint ⇒ the simulation is provably redundant);
-2. the sweep's **journal** (resume after an interrupt, also with the
-   cache disabled);
-3. the **worker pool**, which actually executes the remainder.
+2. the **worker pool**, which actually executes the remainder.
 
-Fresh results are journaled and cached as they arrive, so an interrupt
-at any point loses at most the in-flight specs.  Deduplication happens
-up front: submitting the same spec twice (e.g. the shared ``no_cc``
-baseline of two figures) costs one execution.
+Fresh results are cached as they arrive, each through one atomic
+rename, so an interrupt at any point loses at most the in-flight specs:
+the rerun finds every completed spec as a cache hit.  Deduplication
+happens up front: submitting the same spec twice (e.g. the shared
+``no_cc`` baseline of two figures) costs one execution.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.runs.cache import ResultCache, code_fingerprint
-from repro.runs.journal import RunJournal
 from repro.runs.pool import RunOutcome, WorkerPool
-from repro.runs.spec import RunSpec, canonical_json
+from repro.runs.spec import RunSpec
 
 
 @dataclass
@@ -37,18 +33,16 @@ class RunReport:
     outcomes: dict[str, RunOutcome] = field(default_factory=dict)
     executed: int = 0
     cache_hits: int = 0
-    journal_hits: int = 0
     failed: int = 0
-    #: Specs re-run by the supervisor (chunk-timeout re-dispatch inside
-    #: the pool plus retry rounds at this level).
-    retried: int = 0
-    #: Cache puts that still failed after their own retry budget; the
-    #: result stays durable in the journal, so these are non-fatal.
+    #: Cache puts that failed; the result is still returned, and the
+    #: next run of the sweep executes that spec again.
     cache_put_errors: int = 0
-    #: Journal appends that failed (the journal truncates itself back
-    #: to the last good record); the cache still holds the result.
-    journal_errors: int = 0
     wall_seconds: float = 0.0
+
+    @property
+    def journal_hits(self) -> int:
+        """Always 0; still read by ``hostbench/workloads.py``."""
+        return 0
 
     def payload(self, spec: RunSpec):
         """The payload of one submitted spec; raises if that spec failed."""
@@ -78,64 +72,31 @@ class RunReport:
             )
 
     def summary(self) -> str:
-        retried = f", {self.retried} retried" if self.retried else ""
         return (
             f"{len(self.outcomes)} specs: {self.executed} executed, "
-            f"{self.cache_hits} from cache, {self.journal_hits} from journal, "
-            f"{self.failed} failed{retried} in {self.wall_seconds:.2f}s"
+            f"{self.cache_hits} from cache, "
+            f"{self.failed} failed in {self.wall_seconds:.2f}s"
         )
-
-
-def sweep_journal_path(cache: ResultCache, name: str, specs: list[RunSpec]) -> Path:
-    """A stable journal path for one named sweep.
-
-    The file name folds in a digest of the submitted spec hashes, so the
-    same sweep resumes its own journal while a differently-shaped sweep
-    (other length, other workload subset) gets a fresh one.
-    """
-    import hashlib
-
-    digest = hashlib.sha256(
-        canonical_json(sorted(s.spec_hash() for s in specs)).encode()
-    ).hexdigest()[:12]
-    return cache.journal_dir / f"{name}-{digest}.jsonl"
 
 
 def run_specs(
     specs: list[RunSpec],
     jobs: int = 1,
     cache: ResultCache | None = None,
-    journal: RunJournal | None = None,
     timeout: float | None = None,
     chunk: int | None = None,
     progress=None,
-    retries: int = 0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
 ) -> RunReport:
-    """Resolve every spec through cache, journal, then the worker pool.
+    """Resolve every spec through the cache, then the worker pool.
 
     *progress*, when given, is called as ``progress(outcome, done, total)``
-    for every resolved spec (cache and journal hits included).
+    for every resolved spec (cache hits included).
 
-    *retries* is the supervision budget for **retryable** outcomes
-    (worker death, hang, torn IPC — never an error raised inside the
-    spec itself): each retry round re-runs the survivors at ``chunk=1``
-    in a fresh pool with pristine worker processes, after an
-    exponential backoff with jitter (*backoff_base* doubling per round,
-    capped at *backoff_cap* seconds).  A spec's outcome is journaled,
-    cached and reported exactly once — its final one.
-
-    Transient IO failures on the durable stores are tolerated and
-    counted rather than fatal: a failed cache put leaves the result in
-    the journal (``cache_put_errors``), a failed journal append leaves
-    it in the cache (``journal_errors``) — losing *both* on the same
-    record would take two independent failures.
+    A failed cache put is counted in ``cache_put_errors`` rather than
+    fatal: the result is still returned, it is only not durable.
     """
     started = time.perf_counter()
     report = RunReport()
-    # Jitter only — never on any result-producing path.
-    rng = random.Random(0xC4A05)
 
     ordered: list[RunSpec] = []
     seen: set[str] = set()
@@ -153,98 +114,28 @@ def run_specs(
         if progress is not None:
             progress(outcome, len(report.outcomes), total)
 
-    def put_tolerant(spec: RunSpec, payload) -> None:
-        """Cache put with its own small retry budget for transient IO."""
-        for attempt in range(3):
-            try:
-                cache.put(spec, payload)
-                return
-            except OSError:
-                if attempt == 2:
-                    report.cache_put_errors += 1
-                else:
-                    time.sleep(
-                        min(backoff_cap, backoff_base * (2 ** attempt))
-                        * rng.random()
-                    )
-
-    def record_tolerant(spec: RunSpec, *args, **kwargs) -> None:
-        try:
-            journal.record(spec, *args, **kwargs)
-        except OSError:
-            report.journal_errors += 1
-
     pending: list[RunSpec] = []
     for spec in ordered:
-        spec_hash = spec.spec_hash()
         if cache is not None:
             payload = cache.get(spec)
             if payload is not None:
                 report.cache_hits += 1
-                if journal is not None and journal.completed(spec_hash) is None:
-                    record_tolerant(spec, "done", payload, cached=True)
                 emit(RunOutcome(spec, "done", payload=payload, source="cache"))
-                continue
-        if journal is not None:
-            record = journal.completed(spec_hash)
-            if record is not None:
-                report.journal_hits += 1
-                if cache is not None:
-                    put_tolerant(spec, record["payload"])
-                emit(
-                    RunOutcome(
-                        spec,
-                        "done",
-                        payload=record["payload"],
-                        duration=record.get("duration", 0.0),
-                        source="journal",
-                    )
-                )
                 continue
         pending.append(spec)
 
     def finalize(outcome: RunOutcome) -> None:
         report.executed += 1
-        if journal is not None:
-            record_tolerant(
-                outcome.spec,
-                outcome.status,
-                outcome.payload,
-                duration=outcome.duration,
-                error=outcome.error,
-            )
         if cache is not None and outcome.ok:
-            put_tolerant(outcome.spec, outcome.payload)
+            try:
+                cache.put(outcome.spec, outcome.payload)
+            except OSError:
+                report.cache_put_errors += 1
         emit(outcome)
 
-    to_run = pending
-    attempt = 0
-    while to_run:
-        final_round = attempt >= max(0, retries)
-        deferred: list[RunSpec] = []
-
-        def on_result(outcome, _final=final_round, _deferred=deferred):
-            if outcome.ok or not outcome.retryable or _final:
-                finalize(outcome)
-            else:
-                _deferred.append(outcome.spec)
-
-        pool = WorkerPool(
-            jobs=jobs,
-            timeout=timeout,
-            # Retry rounds isolate at chunk=1 in pristine processes.
-            chunk=chunk if attempt == 0 else 1,
-            max_tasks_per_child=None if attempt == 0 else 1,
-        )
-        pool.run(to_run, on_result=on_result)
-        report.retried += pool.redispatched
-        if not deferred:
-            break
-        attempt += 1
-        report.retried += len(deferred)
-        delay = min(backoff_cap, backoff_base * (2 ** (attempt - 1)))
-        time.sleep(delay * (0.5 + rng.random()))
-        to_run = deferred
+    WorkerPool(jobs=jobs, timeout=timeout, chunk=chunk).run(
+        pending, on_result=finalize
+    )
 
     if cache is not None:
         cache.flush_stats()
@@ -253,42 +144,25 @@ def run_specs(
 
 
 def orchestrate(
-    name: str,
     specs: list[RunSpec],
     jobs: int = 1,
     use_cache: bool = True,
     cache_root=None,
     timeout: float | None = None,
-    chunk: int | None = None,
     progress=None,
-    retries: int = 0,
 ) -> RunReport:
     """The common CLI/driver wrapper around :func:`run_specs`.
 
-    Builds the default cache (unless disabled) and a named, resumable
-    journal under it, runs the batch, and closes the journal.  With the
-    cache disabled there is nowhere durable to journal, so interrupted
-    ``--no-cache`` sweeps restart from scratch — by design: ``--no-cache``
-    promises pristine re-execution.
+    Builds the default cache (unless disabled) and runs the batch.  With
+    the cache disabled nothing is durable, so an interrupted
+    ``--no-cache`` sweep restarts from scratch — by design:
+    ``--no-cache`` promises pristine re-execution.
     """
-    if not use_cache:
-        return run_specs(
-            specs,
-            jobs=jobs,
-            timeout=timeout,
-            chunk=chunk,
-            progress=progress,
-            retries=retries,
-        )
-    cache = ResultCache(cache_root, fingerprint=code_fingerprint())
-    with RunJournal(sweep_journal_path(cache, name, specs), cache.fingerprint) as journal:
-        return run_specs(
-            specs,
-            jobs=jobs,
-            cache=cache,
-            journal=journal,
-            timeout=timeout,
-            chunk=chunk,
-            progress=progress,
-            retries=retries,
-        )
+    cache = (
+        ResultCache(cache_root, fingerprint=code_fingerprint())
+        if use_cache
+        else None
+    )
+    return run_specs(
+        specs, jobs=jobs, cache=cache, timeout=timeout, progress=progress
+    )

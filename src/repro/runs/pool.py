@@ -8,49 +8,37 @@ works everywhere, and it guarantees workers never inherit warmed-up
 interpreter state from the parent, which is what makes the determinism
 test (serial result == pooled result, byte for byte) meaningful.
 
-Failure isolation is layered:
+Failure isolation is per spec and per chunk:
 
 * an exception inside a spec is caught *in the worker* and comes back as
   a ``failed`` outcome carrying the traceback — the sweep continues;
-* a worker process dying outright (or hanging) is bounded by the
-  per-chunk deadline derived from ``timeout``; the affected specs come
-  back as ``timeout`` outcomes and the pool is torn down afterwards
-  rather than joined.
+* a worker process dying outright breaks the pool: its chunk and every
+  chunk not yet finished come back as ``failed`` outcomes at once
+  (``BrokenProcessPool``), so a death never hangs the sweep;
+* a hung worker is bounded by the per-chunk deadline derived from
+  ``timeout``; its chunk comes back as ``timeout`` outcomes and the
+  pool's workers are terminated afterwards rather than joined.
+
+Nothing is retried here: a failed spec is not cached, so the next run of
+the sweep executes it again while every completed spec is a cache hit.
 
 Dispatch is chunked (several specs per task) to amortize process startup
 and IPC; ``chunk=1`` gives the finest isolation, larger chunks less
 overhead.  With ``jobs <= 1`` everything runs inline in the parent —
 same code path through :func:`execute_spec`, no processes at all.
-
-When a chunk of several specs times out, only one of them is typically
-at fault; by default the pool re-dispatches the whole chunk once at
-``chunk=1`` in a fresh pool (one process per spec), so the innocent
-chunk-mates complete and only the genuinely hung/crashed spec comes
-back as ``timeout``.  Results additionally carry an integrity digest
-taken in the worker before IPC; a payload that does not match its
-digest in the parent is demoted to a retryable ``corrupt`` outcome
-rather than silently trusted.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runs.spec import RunSpec
 
 #: Grace seconds added on top of a chunk's nominal deadline.
 _TIMEOUT_GRACE = 5.0
-
-
-def payload_digest(payload) -> str:
-    """Content digest of a result payload (canonical JSON, sha256)."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +112,10 @@ def _run_chunk(spec_dicts: list[dict]) -> list[dict]:
         started = time.perf_counter()
         try:
             payload = execute_spec(spec_dict)
-            digest = payload_digest(payload)
             out.append(
                 {
                     "status": "done",
                     "payload": payload,
-                    "digest": digest,
                     "duration": time.perf_counter() - started,
                 }
             )
@@ -155,16 +141,12 @@ class RunOutcome:
     """One spec's fate after orchestration."""
 
     spec: RunSpec
-    status: str  # 'done' | 'failed' | 'timeout' | 'corrupt'
+    status: str  # 'done' | 'failed' | 'timeout'
     payload: object = None
     error: str = ""
     duration: float = 0.0
-    #: Where the payload came from: 'run' | 'cache' | 'journal'.
+    #: Where the payload came from: 'run' | 'cache'.
     source: str = "run"
-    #: Whether a supervisor should re-run this spec: True for
-    #: infrastructure failures (worker death, hang, torn IPC), False
-    #: for errors raised inside the spec itself (deterministic).
-    retryable: bool = False
 
     @property
     def ok(self) -> bool:
@@ -172,32 +154,13 @@ class RunOutcome:
 
 
 def _raw_outcome(spec: RunSpec, raw: dict) -> RunOutcome:
-    """Build one outcome from a worker's raw result dict.
-
-    A ``done`` payload whose content no longer matches the integrity
-    digest taken in the worker is demoted to a retryable ``corrupt``
-    outcome — torn IPC must never masquerade as a result.
-    """
-    status = raw["status"]
-    payload = raw.get("payload")
-    error = raw.get("error", "")
-    retryable = bool(raw.get("retryable", False))
-    if (
-        status == "done"
-        and "digest" in raw
-        and payload_digest(payload) != raw["digest"]
-    ):
-        status = "corrupt"
-        payload = None
-        error = "result payload failed its integrity digest (torn in transit)"
-        retryable = True
+    """Build one outcome from a worker's raw result dict."""
     return RunOutcome(
         spec,
-        status,
-        payload=payload,
-        error=error,
+        raw["status"],
+        payload=raw.get("payload"),
+        error=raw.get("error", ""),
         duration=raw.get("duration", 0.0),
-        retryable=retryable,
     )
 
 
@@ -213,28 +176,14 @@ class WorkerPool:
     start_method: str = "spawn"
     #: Grace seconds on top of each chunk's nominal deadline.
     grace: float = _TIMEOUT_GRACE
-    #: Re-dispatch a timed-out multi-spec chunk once at chunk=1 so one
-    #: hung spec does not condemn its chunk-mates.
-    redispatch: bool = True
-    #: Worker recycling (``maxtasksperchild``); 1 gives every chunk a
-    #: pristine process.
-    max_tasks_per_child: int | None = None
-    #: Outcomes of the last :meth:`run`, in submission order.
-    last_outcomes: list[RunOutcome] = field(default_factory=list)
-    #: Specs re-dispatched at chunk=1 after a chunk timeout (cumulative).
-    redispatched: int = 0
 
     def run(self, specs: list[RunSpec], on_result=None) -> list[RunOutcome]:
         """Execute every spec; one outcome per spec, in submission order."""
         if not specs:
-            self.last_outcomes = []
             return []
         if self.jobs <= 1:
-            outcomes = self._run_inline(specs, on_result)
-        else:
-            outcomes = self._run_pooled(specs, on_result)
-        self.last_outcomes = outcomes
-        return outcomes
+            return self._run_inline(specs, on_result)
+        return self._run_pooled(specs, on_result)
 
     def _run_inline(self, specs, on_result) -> list[RunOutcome]:
         outcomes = []
@@ -252,92 +201,57 @@ class WorkerPool:
         return max(1, -(-total // (self.jobs * 4)))
 
     def _run_pooled(self, specs, on_result) -> list[RunOutcome]:
+        # Imported here, so inline runs (jobs <= 1) never load it.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeout
+
         size = self._chunk_size(len(specs))
         chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
-        context = multiprocessing.get_context(self.start_method)
-        #: (submission index, outcome); sorted back before returning.
-        indexed: list[tuple[int, RunOutcome]] = []
-        #: (submission index, spec) of timed-out multi-spec chunk members
-        #: held back for the chunk=1 re-dispatch (not yet reported).
-        suspects: list[tuple[int, RunSpec]] = []
+        outcomes: list[RunOutcome] = []
         timed_out = False
-        pool = context.Pool(
-            processes=min(self.jobs, len(chunks)),
-            maxtasksperchild=self.max_tasks_per_child,
+        executor = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(chunks)),
+            mp_context=multiprocessing.get_context(self.start_method),
         )
         try:
             pending = [
-                pool.apply_async(_run_chunk, ([s.to_dict() for s in chunk],))
+                executor.submit(_run_chunk, [s.to_dict() for s in chunk])
                 for chunk in chunks
             ]
-            base = 0
-            for chunk, handle in zip(chunks, pending):
+            for chunk, future in zip(chunks, pending):
                 deadline = (
                     None
                     if self.timeout is None
                     else self.timeout * len(chunk) + self.grace
                 )
                 try:
-                    raws = handle.get(deadline)
-                except multiprocessing.TimeoutError:
+                    raws = future.result(deadline)
+                except FutureTimeout:
                     timed_out = True
                     raws = [
                         {
                             "status": "timeout",
-                            "payload": None,
-                            "duration": deadline or 0.0,
+                            "duration": deadline,
                             "error": f"no result within {deadline:.0f}s "
-                            "(worker hung or died)",
-                            "retryable": True,
+                            "(worker hung)",
                         }
                     ] * len(chunk)
                 except Exception:
-                    # The worker process died before returning (e.g. a
-                    # hard crash the in-worker try/except cannot catch).
+                    # A worker process died (BrokenProcessPool): a hard
+                    # crash the in-worker try/except cannot catch.
                     raws = [
-                        {
-                            "status": "failed",
-                            "payload": None,
-                            "duration": 0.0,
-                            "error": traceback.format_exc(),
-                            "retryable": True,
-                        }
+                        {"status": "failed", "error": traceback.format_exc()}
                     ] * len(chunk)
-                for offset, (spec, raw) in enumerate(zip(chunk, raws)):
-                    if (
-                        raw["status"] == "timeout"
-                        and self.redispatch
-                        and len(chunk) > 1
-                    ):
-                        suspects.append((base + offset, spec))
-                        continue
+                for spec, raw in zip(chunk, raws):
                     outcome = _raw_outcome(spec, raw)
-                    indexed.append((base + offset, outcome))
+                    outcomes.append(outcome)
                     if on_result is not None:
                         on_result(outcome)
-                base += len(chunk)
         finally:
-            # A hung worker would block join() forever; terminate instead.
+            # A hung worker would block shutdown forever; terminate it.
+            # The executor then marks itself broken and reaps every worker.
             if timed_out:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
-        if suspects:
-            # Isolate the offender: one fresh process per surviving spec.
-            self.redispatched += len(suspects)
-            retry_pool = WorkerPool(
-                jobs=min(self.jobs, len(suspects)),
-                timeout=self.timeout,
-                chunk=1,
-                start_method=self.start_method,
-                grace=self.grace,
-                redispatch=False,
-                max_tasks_per_child=1,
-            )
-            retried = retry_pool.run([spec for _, spec in suspects])
-            for (index, _spec), outcome in zip(suspects, retried):
-                indexed.append((index, outcome))
-                if on_result is not None:
-                    on_result(outcome)
-        return [outcome for _, outcome in sorted(indexed, key=lambda p: p[0])]
+                for process in list(executor._processes.values()):
+                    process.terminate()
+            executor.shutdown(wait=True, cancel_futures=True)
+        return outcomes

@@ -5,7 +5,7 @@ outcome — the kind of run, the design, the workload recipe, the system
 configuration and every seed — as plain JSON-able data.  Two specs that
 would produce the same result serialize to the same canonical JSON and
 therefore hash to the same :meth:`RunSpec.spec_hash`, which is the key
-the on-disk result cache and the run journal are addressed by.
+the on-disk result cache is addressed by.
 
 The spec deliberately stores the workload *recipe* (name, length, seed),
 never the generated trace: traces are megabytes, regenerating them is
@@ -139,7 +139,7 @@ class RunSpec:
         return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
     def describe(self) -> str:
-        """A short human label for progress lines and journals."""
+        """A short human label for progress lines and error reports."""
         parts = [self.kind, self.scheme]
         if self.workload:
             parts.append(f"{self.workload}@{self.length}#{self.seed}")

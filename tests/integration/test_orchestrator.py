@@ -6,13 +6,22 @@ byte-identical serialized results, or the cache would make figures
 depend on *how* they were computed.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.runs import (
     ResultCache,
-    RunJournal,
     canonical_json,
+    code_fingerprint,
     run_specs,
     simulation_spec,
 )
@@ -63,27 +72,58 @@ class TestCacheIntegration:
         assert len(report.outcomes) == 1
 
 
-class TestJournalResume:
-    def test_interrupted_sweep_resumes_without_cache(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        # "interrupt": only the first two specs completed before the crash
-        with RunJournal(path, FP) as journal:
-            first = run_specs(SPECS[:2], journal=journal)
-        assert first.executed == 2
-        with RunJournal(path, FP) as journal:
-            resumed = run_specs(SPECS, journal=journal)
-        assert resumed.journal_hits == 2
-        assert resumed.executed == len(SPECS) - 2
+#: The sweep the kill-and-resume test interrupts; the child script
+#: builds the same list, so both sides address the same cache entries.
+RESUME_SWEEP = [simulation_spec("ccnvm", "lbm", 40, seed) for seed in range(1, 7)]
 
-    def test_journal_backfills_the_cache(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with RunJournal(path, FP) as journal:
-            run_specs(SPECS[:1], journal=journal)
-        cache = ResultCache(tmp_path, fingerprint=FP)
-        with RunJournal(path, FP) as journal:
-            report = run_specs(SPECS[:1], cache=cache, journal=journal)
-        assert report.journal_hits == 1
-        assert cache.get(SPECS[0]) is not None
+_SWEEP_SCRIPT = textwrap.dedent(
+    """
+    import time
+    from repro.runs import orchestrate, simulation_spec
+
+    specs = [simulation_spec("ccnvm", "lbm", 40, seed) for seed in range(1, 7)]
+    # Pace the sweep so the parent can kill it between two results.
+    orchestrate(specs, progress=lambda *_: time.sleep(0.3))
+    """
+)
+
+
+class TestKillAndResume:
+    def test_killed_sweep_resumes_from_the_cache(self, tmp_path):
+        root = tmp_path / "cache"
+        env = dict(
+            os.environ,
+            CCNVM_CACHE_DIR=str(root),
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        entries = root / "results" / code_fingerprint()
+        child = subprocess.Popen([sys.executable, "-c", _SWEEP_SCRIPT], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(entries.glob("*.json")):
+                assert child.poll() is None, "sweep exited before any result"
+                assert time.monotonic() < deadline, "no cache entry within 60 s"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+        done = {path.stem for path in entries.glob("*.json")}
+        assert 1 <= len(done) < len(RESUME_SWEEP)
+
+        resumed = run_specs(RESUME_SWEEP, cache=ResultCache(root))
+        assert resumed.failed == 0
+        assert resumed.cache_hits == len(done)
+        executed = {
+            h for h, outcome in resumed.outcomes.items() if outcome.source == "run"
+        }
+        assert executed == {s.spec_hash() for s in RESUME_SWEEP} - done
+        assert resumed.executed == len(executed)
+
+        uninterrupted = run_specs(RESUME_SWEEP)
+        for spec in RESUME_SWEEP:
+            assert canonical_json(resumed.payload(spec)) == canonical_json(
+                uninterrupted.payload(spec)
+            ), f"resumed result diverged for {spec.describe()}"
 
 
 class TestFailureIsolation:
@@ -102,11 +142,9 @@ class TestFailureIsolation:
     def test_failures_are_not_cached_or_resumed(self, tmp_path):
         bad = simulation_spec("ccnvm", "no_such_benchmark", 300, 1)
         cache = ResultCache(tmp_path, fingerprint=FP)
-        with RunJournal(tmp_path / "j.jsonl", FP) as journal:
-            run_specs([bad], cache=cache, journal=journal)
+        run_specs([bad], cache=cache)
         assert cache.get(bad) is None
-        with RunJournal(tmp_path / "j.jsonl", FP) as journal:
-            report = run_specs([bad], cache=cache, journal=journal)
+        report = run_specs([bad], cache=cache)
         assert report.executed == 1  # re-attempted, not replayed
 
 

@@ -338,7 +338,7 @@ class TestCommands:
 
     @pytest.mark.slow
     def test_evaluate_runs_small(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)  # the cache/journal land here
+        monkeypatch.chdir(tmp_path)  # the cache lands here
         assert main(["evaluate", "--length", "300", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "Figure 5(a)" in out

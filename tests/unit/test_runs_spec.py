@@ -81,7 +81,7 @@ class TestSpecHash:
         class Captured(Exception):
             pass
 
-        def capture(_name, specs, **_kwargs):
+        def capture(specs, **_kwargs):
             captured.extend(specs)
             raise Captured
 
